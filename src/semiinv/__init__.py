@@ -54,6 +54,7 @@ from .qpoly import (
     is_symmetric,
     is_unimodal,
     strictness_break,
+    symmetry_break,
     unimodality_break,
 )
 from .witnesses import (
@@ -114,6 +115,7 @@ __all__ = [
     "strict_witnesses",
     "strictness_break",
     "sylvester_grid_mismatches",
+    "symmetry_break",
     "triangulate",
     "unimodality_break",
     "verify_theorem_F",

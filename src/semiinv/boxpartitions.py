@@ -18,12 +18,12 @@ Counting uses a two-dimensional recurrence over the box,
 
 (split on whether some part equals ``n``), memoized per ``(k, n)`` with
 the whole weight vector stored, since delta scans reuse the same boxes
-heavily.  Cells are exact big integers.
+heavily.  The memo is filled iteratively, so a box of any shape needs no
+recursion.  Cells are exact big integers.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 
@@ -65,20 +65,33 @@ class BoxPartition:
         return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+_COUNT_TABLES: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
 def _count_table(k: int, n: int) -> tuple[int, ...]:
     """Vector of p(k, n, m) for m = 0..n*k."""
-    if k == 0 or n == 0:
-        return (1,)
-    narrower = _count_table(k, n - 1)
-    shorter = _count_table(k - 1, n)
-    out = []
-    for m in range(n * k + 1):
-        v = narrower[m] if m < len(narrower) else 0
-        if m >= n:
-            v += shorter[m - n]
-        out.append(v)
-    return tuple(out)
+    table = _COUNT_TABLES.get((k, n))
+    if table is not None:
+        return table
+    # (k, n) needs (k, n-1) and (k-1, n): fill the missing boxes of the
+    # (k+1) x (n+1) grid column by column, each column from k' = 0 upward.
+    for nn in range(n + 1):
+        for kk in range(k + 1):
+            if (kk, nn) in _COUNT_TABLES:
+                continue
+            if kk == 0 or nn == 0:
+                _COUNT_TABLES[kk, nn] = (1,)
+                continue
+            narrower = _COUNT_TABLES[kk, nn - 1]
+            shorter = _COUNT_TABLES[kk - 1, nn]
+            out = []
+            for m in range(nn * kk + 1):
+                v = narrower[m] if m < len(narrower) else 0
+                if m >= nn:
+                    v += shorter[m - nn]
+                out.append(v)
+            _COUNT_TABLES[kk, nn] = tuple(out)
+    return _COUNT_TABLES[k, n]
 
 
 def count_partitions_in_box(k: int, n: int, m: int) -> int:

@@ -36,8 +36,8 @@ from .qpoly import (
     QPoly,
     first_negative_index,
     gauss,
-    is_symmetric,
     strictness_break,
+    symmetry_break,
     unimodality_break,
 )
 
@@ -197,14 +197,6 @@ def _finding_report(
     return ScanReport(family, params, checks, witness, coefficients_digest(poly))
 
 
-def _symmetry_witness(p: QPoly) -> int | None:
-    cs = p.coeffs
-    for i in range(len(cs) // 2):
-        if cs[i] != cs[len(cs) - 1 - i]:
-            return i
-    return None
-
-
 # ---------------------------------------------------------------------------
 # verifiers (proved statements; failures abort)
 
@@ -223,7 +215,7 @@ def verify_theorem_F(n_max: int, k_max: int) -> list[ScanReport]:
         for k in range(2, k_max + 1):
             poly = F(n, k)
             params = {"n": n, "k": k}
-            w = _symmetry_witness(poly)
+            w = symmetry_break(poly)
             if w is not None:
                 raise VerificationError(
                     f"F({n},{k}) is not symmetric at index {w}", "F", params, w
@@ -269,7 +261,7 @@ def verify_theorem_G(n_max: int, k_max: int, r_max: int) -> list[ScanReport]:
             for k in range(r, k_max + 1):
                 poly = G(n, k, r)
                 params = {"n": n, "k": k, "r": r}
-                w = _symmetry_witness(poly)
+                w = symmetry_break(poly)
                 if w is not None:
                     raise VerificationError(
                         f"G({n},{k},{r}) is not symmetric at index {w}",

@@ -9,11 +9,20 @@ The Gaussian coefficient ``gauss(a, b)`` is built by the q-Pascal recurrence
 
     gauss(a, b) == gauss(a-1, b-1) + q**b * gauss(a-1, b)
 
-with memoization, so integrality of every coefficient holds by construction;
-no polynomial division ever happens.  Coefficient ``m`` of ``gauss(n+k, k)``
-counts partitions of ``m`` inside a ``k x n`` box, which is what makes these
+so integrality of every coefficient holds by construction; no polynomial
+division ever happens.  Coefficient ``m`` of ``gauss(n+k, k)`` counts
+partitions of ``m`` inside a ``k x n`` box, which is what makes these
 polynomials symmetric and unimodal and is cross-checked against the
 independent counter in :mod:`semiinv.boxpartitions`.
+
+One q-Pascal table, keyed by ``(a', j)`` and holding plain coefficient
+tuples, is shared by every call: ``gauss(a, b)`` computes only the entries
+of its sweep that earlier calls have not stored, and wraps the result in a
+:class:`QPoly` on the way out.  The table's budget is a fixed number of
+stored coefficients; a sweep that pushes it past the budget clears it down
+to the row in hand, so a single huge call stays near the memory of a sweep
+without a table.  Entries are exact and are only ever dropped, never
+altered, so results never depend on call order or eviction.
 
 The unimodality predicates operate on coefficient sequences.  A sequence is
 unimodal if it rises weakly and then falls weakly.  The strict variant used
@@ -168,7 +177,72 @@ class QPoly:
         return cls(int(c) for c in obj["coeffs"])
 
 
-_GAUSS_CACHE: dict[tuple[int, int], QPoly] = {}
+# The shared q-Pascal table: (a', j) -> coefficients of gauss(a', j).  Every
+# gauss() call reads it and fills in what its sweep is missing.  _PASCAL_SIZE
+# is the number of coefficients stored; once a sweep pushes it past
+# _PASCAL_BUDGET the table is cleared down to the row just computed.
+_PASCAL: dict[tuple[int, int], tuple[int, ...]] = {}
+_PASCAL_SIZE = 0
+_PASCAL_BUDGET = 1 << 18
+
+
+def _pascal_row(ap: int, lo: int, hi: int) -> list[tuple[int, ...]] | None:
+    """Row ``ap`` of the table for ``lo <= j <= hi``, or None if incomplete."""
+    row = []
+    for j in range(lo, hi + 1):
+        coeffs = _PASCAL.get((ap, j))
+        if coeffs is None:
+            return None
+        row.append(coeffs)
+    return row
+
+
+def _pascal_fill(a: int, b: int) -> tuple[int, ...]:
+    """Coefficients of ``gauss(a, b)``, filling the table as needed.
+
+    With ``c = a - b`` the sweep covers the rectangle ``j <= b``,
+    ``ap - j <= c``: row ``ap`` holds ``gauss(ap, j)`` for
+    ``max(0, ap - c) <= j <= min(ap, b)`` and needs only row ``ap - 1`` of
+    the same rectangle; row ``a`` is ``gauss(a, b)`` alone.  It starts just
+    above the highest row already complete in the table and computes only
+    the entries that are missing.
+    """
+    global _PASCAL_SIZE
+    c = a - b
+    start, prev = -1, []
+    for ap in range(a - 1, -1, -1):
+        row = _pascal_row(ap, max(0, ap - c), min(ap, b))
+        if row is not None:
+            start, prev = ap, row
+            break
+    for ap in range(start + 1, a + 1):
+        lo, hi = max(0, ap - c), min(ap, b)
+        plo = max(0, ap - 1 - c)
+        row = []
+        added = 0
+        for j in range(lo, hi + 1):
+            coeffs = _PASCAL.get((ap, j))
+            if coeffs is None:
+                if j == 0 or j == ap:
+                    coeffs = (1,)
+                else:
+                    # gauss(ap-1, j-1) + q**j * gauss(ap-1, j)
+                    left, right = prev[j - 1 - plo], prev[j - plo]
+                    coeffs = (
+                        left[:j]
+                        + tuple(map(int.__add__, left[j:], right))
+                        + right[len(left) - j:]
+                    )
+                _PASCAL[ap, j] = coeffs
+                added += len(coeffs)
+            row.append(coeffs)
+        _PASCAL_SIZE += added
+        if _PASCAL_SIZE > _PASCAL_BUDGET:
+            _PASCAL.clear()
+            _PASCAL.update(((ap, j), coeffs) for j, coeffs in enumerate(row, lo))
+            _PASCAL_SIZE = sum(map(len, row))
+        prev = row
+    return prev[0]
 
 
 def gauss(a: int, b: int) -> QPoly:
@@ -187,23 +261,10 @@ def gauss(a: int, b: int) -> QPoly:
         raise ValueError(f"gauss({a},{b}): arguments must be nonnegative")
     if b > a:
         raise ValueError(f"gauss({a},{b}): lower index exceeds upper index")
-    cached = _GAUSS_CACHE.get((a, b))
-    if cached is not None:
-        return cached
-    one = QPoly.one()
-    # Bottom-up q-Pascal sweep; row ap holds gauss(ap, j) for j <= min(ap, b).
-    row = [one]
-    for ap in range(1, a + 1):
-        new = [one]
-        for j in range(1, min(ap, b) + 1):
-            if j == ap:
-                new.append(one)
-            else:
-                new.append(row[j - 1] + row[j].shift(j))
-        row = new
-    result = row[b]
-    _GAUSS_CACHE[(a, b)] = result
-    return result
+    coeffs = _PASCAL.get((a, b))
+    if coeffs is None:
+        coeffs = _pascal_fill(a, b)
+    return QPoly(coeffs)
 
 
 def first_negative_index(p: QPoly) -> int | None:
@@ -220,14 +281,22 @@ def _require_nonnegative(p: QPoly) -> None:
         raise NonnegativityViolation(i, p.coeffs[i])
 
 
-def is_symmetric(p: QPoly) -> bool:
-    """True iff coefficient ``i`` equals coefficient ``degree - i`` for all i.
+def symmetry_break(p: QPoly) -> int | None:
+    """First index ``i`` whose coefficient differs from ``degree - i``'s, else None.
 
     The zero polynomial counts as symmetric.
     """
     cs = p.coeffs
     n = len(cs)
-    return all(cs[i] == cs[n - 1 - i] for i in range(n // 2))
+    for i in range(n // 2):
+        if cs[i] != cs[n - 1 - i]:
+            return i
+    return None
+
+
+def is_symmetric(p: QPoly) -> bool:
+    """True iff coefficient ``i`` equals coefficient ``degree - i`` for all i."""
+    return symmetry_break(p) is None
 
 
 def unimodality_break(p: QPoly) -> int | None:

@@ -38,6 +38,11 @@ class TestCount:
                 for m in range(n * k + 1):
                     assert count_partitions_in_box(k, n, m) == brute_count(k, n, m)
 
+    def test_thin_box_fills_without_recursion(self):
+        # one entry per row of a 1100-row box; a recursive fill overflows
+        assert count_partitions_in_box(1100, 2, 10) == 6
+        assert count_partitions_in_box(2, 1100, 10) == 6
+
     def test_negative_box_rejected(self):
         with pytest.raises(ValueError):
             count_partitions_in_box(-1, 3, 0)

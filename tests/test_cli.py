@@ -53,6 +53,11 @@ class TestDimCommand:
         assert code == 0
         assert out.strip() == "delta=1 kernel=1 MATCH"
 
+    def test_thin_box(self, capsys):
+        code, out, _ = run_cli(capsys, "dim", "2", "1100", "2")
+        assert code == 0
+        assert out.strip() == "delta=1 kernel=1 MATCH"
+
     def test_above_middle_unchecked(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "2", "2", "3")
         assert code == 0

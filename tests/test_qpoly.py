@@ -1,8 +1,13 @@
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semiinv import boxpartitions, qpoly
+from semiinv.boxpartitions import count_partitions_in_box
 from semiinv.qpoly import (
     NonnegativityViolation,
     QPoly,
@@ -12,6 +17,7 @@ from semiinv.qpoly import (
     is_symmetric,
     is_unimodal,
     strictness_break,
+    symmetry_break,
     unimodality_break,
 )
 
@@ -117,8 +123,6 @@ class TestGauss:
 
     def test_coefficients_count_box_partitions(self):
         # cross-check against the independent DP in boxpartitions
-        from semiinv.boxpartitions import count_partitions_in_box
-
         for n in range(9):
             for k in range(9):
                 p = gauss(n + k, k)
@@ -126,16 +130,97 @@ class TestGauss:
                     assert p.coefficient(m) == count_partitions_in_box(k, n, m)
 
 
+def _fresh_table(mp: pytest.MonkeyPatch) -> None:
+    # an empty shared table for this test; the original comes back afterwards
+    mp.setattr(qpoly, "_PASCAL", {})
+    mp.setattr(qpoly, "_PASCAL_SIZE", 0)
+
+
+def _stored() -> int:
+    """Coefficients in the table, after checking the size and every entry."""
+    for (ap, j), coeffs in qpoly._PASCAL.items():
+        assert coeffs == tuple(_box_counts(j, ap - j)), (ap, j)
+    assert qpoly._PASCAL_SIZE == sum(map(len, qpoly._PASCAL.values()))
+    return qpoly._PASCAL_SIZE
+
+
+def _box_counts(k: int, n: int) -> list[int]:
+    return [count_partitions_in_box(k, n, m) for m in range(k * n + 1)]
+
+
+def _largest_row(a: int, b: int) -> int:
+    """Coefficients in the largest row of the sweep for ``gauss(a, b)``."""
+    c = a - b
+    return max(
+        sum(j * (ap - j) + 1 for j in range(max(0, ap - c), min(ap, b) + 1))
+        for ap in range(a + 1)
+    )
+
+
+class TestPascalTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.integers(0, 60).flatmap(
+                lambda a: st.tuples(st.just(a), st.integers(0, a))
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([0, 30, 700, qpoly._PASCAL_BUDGET]),
+    )
+    def test_any_call_order_matches_box_counts(self, calls, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            _fresh_table(mp)
+            mp.setattr(qpoly, "_PASCAL_BUDGET", budget)
+            for a, b in calls:
+                assert list(gauss(a, b)) == _box_counts(b, a - b), (a, b)
+                _stored()
+
+    def test_tiny_budget_keeps_results_and_bounds_the_table(self, monkeypatch):
+        calls = [(40, 20), (12, 5), (41, 20), (30, 29), (45, 3), (40, 20), (0, 0)]
+        _fresh_table(monkeypatch)
+        expected = [gauss(a, b) for a, b in calls]
+        assert _stored() <= qpoly._PASCAL_BUDGET
+
+        _fresh_table(monkeypatch)
+        monkeypatch.setattr(qpoly, "_PASCAL_BUDGET", 50)
+        row = 0
+        for (a, b), want in zip(calls, expected):
+            assert gauss(a, b) == want
+            row = max(row, _largest_row(a, b))
+            assert _stored() <= 50 + row, (a, b)
+            assert (a, b) in qpoly._PASCAL
+
+    def test_independent_of_box_counts(self, monkeypatch):
+        want = gauss(30, 15)
+
+        def refuse(k, n):
+            raise AssertionError("gauss must not read the box-count tables")
+
+        monkeypatch.setattr(boxpartitions, "_count_table", refuse)
+        with pytest.raises(AssertionError):
+            count_partitions_in_box(15, 15, 3)
+        _fresh_table(monkeypatch)
+        p = gauss(30, 15)
+        assert p == want
+        assert sum(p) == math.comb(30, 15)
+
+
 class TestSymmetry:
     def test_gauss_symmetric(self):
         assert is_symmetric(gauss(8, 3))
+        assert symmetry_break(gauss(8, 3)) is None
 
     def test_asymmetric(self):
         assert not is_symmetric(QPoly([1, 2]))
+        assert symmetry_break(QPoly([1, 2])) == 0
+        assert symmetry_break(QPoly([1, 2, 3, 3, 1])) == 1
 
     def test_zero_and_constant(self):
         assert is_symmetric(QPoly())
         assert is_symmetric(QPoly([7]))
+        assert symmetry_break(QPoly()) is None
 
 
 class TestUnimodal:
