@@ -123,26 +123,34 @@ def enumerate_partitions_in_box(k: int, n: int, m: int) -> list[BoxPartition]:
         raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
     if not 0 <= m <= n * k:
         raise ValueError(f"weight {m} outside [0, {n * k}]")
-    out: list[BoxPartition] = []
     if n == 0:
-        out.append(BoxPartition((k,), k, n))
-        return out
-    chosen: list[int] = []  # nu_n, nu_{n-1}, ..., nu_1 as chosen so far
-
-    def descend(i: int, parts: int, weight: int) -> None:
-        if i == 0:
-            # weight == 0 is guaranteed by the bounds below
-            out.append(BoxPartition((parts, *reversed(chosen)), k, n))
-            return
-        # smaller parts carry at most (i-1) each, so weight - i*v <= (i-1)*(parts-v)
-        lo = max(0, weight - (i - 1) * parts)
-        for v in range(lo, parts + 1):
-            rest = weight - i * v
-            if rest < 0:
-                break
-            chosen.append(v)
-            descend(i - 1, parts - v, rest)
-            chosen.pop()
-
-    descend(n, k, m)
+        return [BoxPartition((k,), k, n)]
+    out: list[BoxPartition] = []
+    # Depth-first over levels j = 0..n-1, which choose nu_i for i = n - j.
+    # chosen[j] is that choice; parts[j] and weight[j] are what the parts
+    # of size <= i still have to take.  Each level counts upward from its
+    # lowest feasible value: smaller parts carry at most (i-1) each, so
+    # weight - i*v <= (i-1)*(parts-v).
+    chosen = [0] * n  # nu_n, nu_{n-1}, ..., nu_1
+    parts = [k] + [0] * (n - 1)
+    weight = [m] + [0] * (n - 1)
+    j = 0
+    v = max(0, m - (n - 1) * k)
+    while j >= 0:
+        i = n - j
+        if v > parts[j] or i * v > weight[j]:
+            # level exhausted: back up and advance the level above
+            j -= 1
+            v = chosen[j] + 1
+            continue
+        chosen[j] = v
+        rest_parts, rest = parts[j] - v, weight[j] - i * v
+        if j + 1 < n:
+            j += 1
+            parts[j], weight[j] = rest_parts, rest
+            v = max(0, rest - (i - 2) * rest_parts)
+        else:
+            # at i == 1 the bound forces rest == 0; the parts left are zeros
+            out.append(BoxPartition((rest_parts, *reversed(chosen)), k, n))
+            v += 1
     return out

@@ -2,9 +2,12 @@
 
 Disk files are named ``kernel_n{n}_k{k}_m{m}.json`` and written atomically
 (temp file in the target directory, then rename), so concurrent scans never
-observe a partial file.  A loaded basis is re-validated (every vector must
-be annihilated by the lowering operator) before reuse; anything corrupt is
-recomputed and rewritten rather than trusted.
+observe a partial file.  A loaded basis is re-validated before reuse:
+every vector must be nonzero, annihilated by the lowering operator, and of
+degree ``k`` and weight ``m`` in every term; the vectors' trailing (anti-lex
+least) monomials must be pairwise distinct, which proves them independent;
+and for ``2m <= nk`` their number must be ``delta(k, n, m)``.  Anything
+corrupt is recomputed and rewritten rather than trusted.
 
 The cache directory is chosen from, in order: an explicit argument, the
 ``SEMIINV_CACHE`` environment variable, or nothing (memory only).  The CLI
@@ -18,6 +21,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from .boxpartitions import delta
 from .cayley import KernelBasis, kernel_basis
 
 ENV_VAR = "SEMIINV_CACHE"
@@ -66,6 +70,20 @@ def _load_valid(path: Path, n: int, k: int, m: int) -> KernelBasis | None:
     if (kb.n, kb.k, kb.m) != (n, k, m):
         return None
     if not kb.verify():
+        return None
+    # a kernel vector of another stratum verifies too
+    for v in kb.vectors:
+        for nu, _ in v.items():
+            if sum(nu) != k or sum(i * e for i, e in enumerate(nu)) != m:
+                return None
+    # a truncated file keeps the verified vectors; the count must be delta's
+    if 2 * m <= n * k and kb.dim != delta(k, n, m):
+        return None
+    # distinct trailing (anti-lex least) monomials prove independence; in a
+    # computed basis each is its vector's free column.  The least monomial
+    # has the greatest reversed exponent vector.
+    trailing = {max(nu[::-1] for nu, _ in v.items()) for v in kb.vectors}
+    if len(trailing) != kb.dim:
         return None
     return kb
 

@@ -76,14 +76,8 @@ class SparseIntMatrix:
     ncols: int
     cols: tuple[dict[int, int], ...]
 
-    def entry(self, r: int, c: int) -> int:
-        return self.cols[c].get(r, 0)
-
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols)
-
-    def column_abs_sum(self, c: int) -> int:
-        return sum(abs(v) for v in self.cols[c].values())
 
 
 def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:

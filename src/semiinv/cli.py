@@ -136,6 +136,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.family == "F-strict":
         reports = scan_conjecture_F_strict(
             args.nmax, args.kmax, args.include_below_range, jobs=args.jobs
@@ -202,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=6)
     p.add_argument("--include-below-range", action="store_true",
                    help="F-strict only: extend the grid below the conjectured range")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per CPU (default: 1)")
     p.add_argument("--out", default=None, help="report file prefix")
     p.set_defaults(func=cmd_scan)
 

@@ -13,12 +13,14 @@ Coefficient ``m`` of ``F`` equals ``p(k,n,m) - p(k-2,n,m-n)`` and likewise
 for ``G`` with ``r`` in place of 2, which ties these polynomials to
 semi-invariant dimension differences and is what the verifiers exploit.
 
-Verifiers ASSERT proved facts (a failure aborts with a witness index and
-would mean a bug in this package, not new mathematics).  Scanners only
-REPORT findings for the open conjecture families; nonnegativity and
-unimodality failures are recorded with the first offending index, never
-raised.  Grid iteration is row-major and deterministic, and parallel runs
-buffer results back into grid order.
+Each verifier and scanner is a suite in ``_SUITES`` (a family, its
+parameter names and an ordered list of checks), and one loop, ``_cell``,
+runs a suite's checks on a cell up to the first failure.  Verifiers ASSERT
+proved facts: a failure raises with its witness index and would mean a bug
+in this package, not new mathematics.  Scanners only REPORT findings for
+the open conjecture families: a failure is recorded with its index and the
+later checks are skipped.  Grid iteration is row-major and deterministic,
+and parallel runs (one worker per CPU at most) keep grid order.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .boxpartitions import delta
 from .qpoly import (
@@ -40,8 +44,6 @@ from .qpoly import (
     symmetry_break,
     unimodality_break,
 )
-
-FAMILIES = ("F", "G", "strange", "stanley_zanello", "bergeron")
 
 
 class VerificationError(RuntimeError):
@@ -167,38 +169,84 @@ def bergeron(a: int, b: int, c: int, d: int) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# report helpers
+# the check loop shared by verifiers and scanners
 
 
-def _finding_report(
-    family: str, params: dict, poly: QPoly, with_strict: bool
-) -> ScanReport:
-    """Nonnegativity, then unimodality, then (optionally) strictness.
+class _Suite(NamedTuple):
+    """One verifier or scanner: a family, its report fields and its checks."""
 
-    Later checks are omitted when an earlier one fails, since they are not
-    defined on the failing input.
+    family: str  # name of the constructor in this module
+    param_names: tuple[str, ...]
+    checks: tuple[str, ...]  # keys of _CHECKS, run in this order
+    proved: bool  # a failure raises VerificationError instead of being recorded
+
+
+_SUITES = {
+    "verify-F": _Suite("F", ("n", "k"), ("symmetric", "unimodal", "delta_identity"), True),
+    "verify-G": _Suite("G", ("n", "k", "r"), ("symmetric", "strict_except_ends"), True),
+    "F-strict": _Suite("F", ("n", "k"), ("nonnegative", "unimodal", "strict_except_ends"), False),
+    "strange": _Suite("strange", ("n", "k", "r"), ("nonnegative", "unimodal"), False),
+    "bergeron": _Suite("bergeron", ("a", "b", "c", "d"), ("nonnegative", "unimodal"), False),
+}
+
+# check name -> module-level function returning the first offending index or
+# None.  Families and checks are looked up by name when a cell runs, so rebound
+# module attributes (a tracer's or a test's) are seen and suites pickle cheaply.
+_CHECKS = {
+    "nonnegative": "first_negative_index",
+    "symmetric": "symmetry_break",
+    "unimodal": "unimodality_break",
+    "strict_except_ends": "strictness_break",
+    "delta_identity": "_delta_identity_break",
+}
+
+
+def _delta_identity_break(poly: QPoly, n: int, k: int) -> int | None:
+    """First ``m <= n*k/2`` where the coefficient delta of ``F(n, k)`` misses
+    ``delta(k,n,m) - delta(k-2,n,m-n)``, else None."""
+    for m in range(0, n * k // 2 + 1):
+        lhs = poly.coefficient(m) - poly.coefficient(m - 1)
+        if lhs != delta(k, n, m) - delta(k - 2, n, m - n):
+            return m
+    return None
+
+
+def _cell(suite: _Suite, params: tuple[int, ...]) -> ScanReport:
+    """Run ``suite``'s checks on one cell in order, up to the first failure.
+
+    A proved suite raises :class:`VerificationError` there.  A recorded
+    suite stores the failure and omits the later checks, since they are
+    not defined on the failing input.
     """
+    poly = globals()[suite.family](*params)
+    named = dict(zip(suite.param_names, params))
     checks: dict = {}
     witness = None
-    neg = first_negative_index(poly)
-    checks["nonnegative"] = neg is None
-    if neg is not None:
-        witness = neg
-    else:
-        brk = unimodality_break(poly)
-        checks["unimodal"] = brk is None
-        if brk is not None:
-            witness = brk
-        elif with_strict:
-            sbrk = strictness_break(poly)
-            checks["strict_except_ends"] = sbrk is None
-            if sbrk is not None:
-                witness = sbrk
-    return ScanReport(family, params, checks, witness, coefficients_digest(poly))
+    for check in suite.checks:
+        brk = globals()[_CHECKS[check]]
+        # only the delta identity needs the cell itself
+        witness = brk(poly, *params) if check == "delta_identity" else brk(poly)
+        checks[check] = witness is None
+        if witness is not None:
+            if suite.proved:
+                msg = f"{suite.family}{params} fails {check} at index {witness}"
+                raise VerificationError(msg, suite.family, named, witness)
+            break
+    return ScanReport(suite.family, named, checks, witness, coefficients_digest(poly))
+
+
+def _run_cells(suite: _Suite, cells: list[tuple], jobs: int) -> list[ScanReport]:
+    """Reports for ``cells`` in grid order, on at most ``os.cpu_count()`` workers."""
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1 or len(cells) <= 1:
+        return [_cell(suite, c) for c in cells]
+    chunksize = max(1, len(cells) // (4 * jobs))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(partial(_cell, suite), cells, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
-# verifiers (proved statements; failures abort)
+# verifiers (proved; failures abort) and scanners (open; findings only)
 
 
 def verify_theorem_F(n_max: int, k_max: int) -> list[ScanReport]:
@@ -210,41 +258,8 @@ def verify_theorem_F(n_max: int, k_max: int) -> list[ScanReport]:
     ``m <= n*k/2``, tying the polynomial arithmetic to the independent
     counting route.
     """
-    reports = []
-    for n in range(2, n_max + 1, 2):
-        for k in range(2, k_max + 1):
-            poly = F(n, k)
-            params = {"n": n, "k": k}
-            w = symmetry_break(poly)
-            if w is not None:
-                raise VerificationError(
-                    f"F({n},{k}) is not symmetric at index {w}", "F", params, w
-                )
-            w = unimodality_break(poly)
-            if w is not None:
-                raise VerificationError(
-                    f"F({n},{k}) is not unimodal at index {w}", "F", params, w
-                )
-            for m in range(0, n * k // 2 + 1):
-                lhs = poly.coefficient(m) - poly.coefficient(m - 1)
-                rhs = delta(k, n, m) - delta(k - 2, n, m - n)
-                if lhs != rhs:
-                    raise VerificationError(
-                        f"F({n},{k}) coefficient delta at m={m}: {lhs} != {rhs}",
-                        "F",
-                        params,
-                        m,
-                    )
-            reports.append(
-                ScanReport(
-                    "F",
-                    params,
-                    {"symmetric": True, "unimodal": True, "delta_identity": True},
-                    None,
-                    coefficients_digest(poly),
-                )
-            )
-    return reports
+    cells = [(n, k) for n in range(2, n_max + 1, 2) for k in range(2, k_max + 1)]
+    return _run_cells(_SUITES["verify-F"], cells, 1)
 
 
 def verify_theorem_G(n_max: int, k_max: int, r_max: int) -> list[ScanReport]:
@@ -253,75 +268,14 @@ def verify_theorem_G(n_max: int, k_max: int, r_max: int) -> list[ScanReport]:
     Covers ``8 <= n <= n_max``, ``8 <= r <= r_max`` with ``n*r`` even, and
     ``r <= k <= k_max``.
     """
-    reports = []
-    for n in range(8, n_max + 1):
-        for r in range(8, r_max + 1):
-            if (n * r) % 2:
-                continue
-            for k in range(r, k_max + 1):
-                poly = G(n, k, r)
-                params = {"n": n, "k": k, "r": r}
-                w = symmetry_break(poly)
-                if w is not None:
-                    raise VerificationError(
-                        f"G({n},{k},{r}) is not symmetric at index {w}",
-                        "G",
-                        params,
-                        w,
-                    )
-                w = strictness_break(poly)
-                if w is not None:
-                    raise VerificationError(
-                        f"G({n},{k},{r}) strictness fails at index {w}",
-                        "G",
-                        params,
-                        w,
-                    )
-                reports.append(
-                    ScanReport(
-                        "G",
-                        params,
-                        {"symmetric": True, "strict_except_ends": True},
-                        None,
-                        coefficients_digest(poly),
-                    )
-                )
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# scanners (open questions; findings only)
-
-
-def _f_strict_cell(params: tuple[int, int]) -> ScanReport:
-    n, k = params
-    return _finding_report("F", {"n": n, "k": k}, F(n, k), with_strict=True)
-
-
-def _strange_cell(params: tuple[int, int, int]) -> ScanReport:
-    n, k, r = params
-    return _finding_report(
-        "strange", {"n": n, "k": k, "r": r}, strange(n, k, r), with_strict=False
-    )
-
-
-def _bergeron_cell(params: tuple[int, int, int, int]) -> ScanReport:
-    a, b, c, d = params
-    return _finding_report(
-        "bergeron",
-        {"a": a, "b": b, "c": c, "d": d},
-        bergeron(a, b, c, d),
-        with_strict=False,
-    )
-
-
-def _run_cells(
-    fn: Callable[[tuple], ScanReport], cells: list[tuple], jobs: int
-) -> list[ScanReport]:
-    if jobs <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells, chunksize=max(1, len(cells) // (4 * jobs))))
+    cells = [
+        (n, k, r)
+        for n in range(8, n_max + 1)
+        for r in range(8, r_max + 1)
+        if (n * r) % 2 == 0
+        for k in range(r, k_max + 1)
+    ]
+    return _run_cells(_SUITES["verify-G"], cells, 1)
 
 
 def scan_conjecture_F_strict(
@@ -342,7 +296,7 @@ def scan_conjecture_F_strict(
         for k in range(k_lo, k_max + 1)
         if n * k >= 4
     ]
-    return _run_cells(_f_strict_cell, cells, jobs)
+    return _run_cells(_SUITES["F-strict"], cells, jobs)
 
 
 def scan_strange(
@@ -356,7 +310,7 @@ def scan_strange(
         for r in range(1, r_max + 1)
         if n >= 2 * r * k - 4 * r + 3
     ]
-    return _run_cells(_strange_cell, cells, jobs)
+    return _run_cells(_SUITES["strange"], cells, jobs)
 
 
 def scan_bergeron(bound: int, jobs: int = 1) -> list[ScanReport]:
@@ -369,7 +323,7 @@ def scan_bergeron(bound: int, jobs: int = 1) -> list[ScanReport]:
         for d in range(a, bound + 1)
         if a * d == b * c
     ]
-    return _run_cells(_bergeron_cell, cells, jobs)
+    return _run_cells(_SUITES["bergeron"], cells, jobs)
 
 
 # ---------------------------------------------------------------------------

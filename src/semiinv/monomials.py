@@ -31,8 +31,6 @@ from math import gcd
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .boxpartitions import BoxPartition
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -87,13 +85,6 @@ class Monomial:
     def __ge__(self, other: "Monomial") -> bool:
         self._check_same_n(other)
         return self.nu[::-1] <= other.nu[::-1]
-
-    def to_box_partition(self) -> BoxPartition:
-        return BoxPartition(self.nu, self.degree, self.n)
-
-    @classmethod
-    def from_box_partition(cls, bp: BoxPartition) -> "Monomial":
-        return cls(bp.nu)
 
     def __str__(self) -> str:
         parts = []

@@ -132,6 +132,22 @@ class TestEnumerate:
             for a, b in zip(monos, monos[1:]):
                 assert a > b
 
+    def test_ascending_reversed_vectors_on_every_small_box(self):
+        # with the set checked against brute force, this pins the whole list
+        for k in range(7):
+            for n in range(7):
+                for m in range(n * k + 1):
+                    keys = [
+                        bp.nu[::-1] for bp in enumerate_partitions_in_box(k, n, m)
+                    ]
+                    assert keys == sorted(set(keys))
+
+    def test_wide_box_without_recursion(self):
+        # one level per part size; a recursive walk overflows the stack here
+        (bp,) = enumerate_partitions_in_box(1, 1200, 1)
+        assert bp.parts() == (1,)
+        assert len(enumerate_partitions_in_box(2, 1500, 1500)) == 751
+
     def test_invalid_weight_rejected(self):
         with pytest.raises(ValueError):
             enumerate_partitions_in_box(2, 2, 5)

@@ -77,11 +77,12 @@ class TestMatrix:
             k = rng.randint(1, 5)
             m = rng.randint(1, n * k)
             mat = build_D_matrix(n, k, m)
-            for c in range(mat.ncols):
-                assert len(mat.cols[c]) <= n
-                assert mat.column_abs_sum(c) <= k * n
+            for col in mat.cols:
+                assert len(col) <= n
+                abs_sum = sum(abs(v) for v in col.values())
+                assert abs_sum <= k * n
                 # the entries i*nu_i over a monomial sum to its weight
-                assert mat.column_abs_sum(c) == m
+                assert abs_sum == m
 
     def test_columns_match_operator(self):
         n, k, m = 4, 3, 5
@@ -176,7 +177,7 @@ class TestDimension:
                     {
                         basis_exponents(n, k, m)[c]: v
                         for c, v in enumerate(
-                            [mat.entry(r, c) for c in range(mat.ncols)]
+                            [col.get(r, 0) for col in mat.cols]
                         )
                         if v
                     },

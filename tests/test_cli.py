@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from semiinv import cache
+from semiinv import cache, differences
 from semiinv.cli import main
 
 
@@ -57,6 +58,11 @@ class TestDimCommand:
         code, out, _ = run_cli(capsys, "dim", "2", "1100", "2")
         assert code == 0
         assert out.strip() == "delta=1 kernel=1 MATCH"
+
+    def test_wide_box(self, capsys):
+        code, out, _ = run_cli(capsys, "dim", "1200", "1", "1")
+        assert code == 0
+        assert out.strip() == "delta=0 kernel=0 MATCH"
 
     def test_above_middle_unchecked(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "2", "2", "3")
@@ -150,6 +156,33 @@ class TestCache:
         finally:
             cache.clear_memory_cache()
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            # true dim 2; the first vector alone still verifies
+            lambda obj: {**obj, "dim": 1, "vectors": obj["vectors"][:1]},
+            # right count, but one vector twice: not independent
+            lambda obj: {**obj, "vectors": [obj["vectors"][0]] * 2},
+            # the (4, 4, 4) basis, also of dimension 2, filed under weight 6
+            lambda obj: {**cache.kernel_basis(4, 4, 4).to_json_obj(), "m": 6},
+        ],
+        ids=["truncated", "duplicated", "other-stratum"],
+    )
+    def test_untrusted_basis_recomputed(self, tmp_path, tamper):
+        cache.clear_memory_cache()
+        try:
+            kb = cache.kernel_basis_cached(4, 4, 6, tmp_path)
+            assert kb.dim == 2
+            path = tmp_path / "kernel_n4_k4_m6.json"
+            good = path.read_bytes()
+            path.write_bytes(cache.canonical_json_bytes(tamper(json.loads(good))))
+            cache.clear_memory_cache()
+            kb2 = cache.kernel_basis_cached(4, 4, 6, tmp_path)
+            assert kb2.vectors == kb.vectors
+            assert path.read_bytes() == good
+        finally:
+            cache.clear_memory_cache()
+
     def test_env_var_resolution(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
         assert cache.resolve_cache_dir(None) == tmp_path
@@ -219,8 +252,73 @@ class TestScanCommand:
         assert run_cli(capsys, "scan", "nosuch")[0] == 2
         assert run_cli(capsys)[0] == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, tmp_path, jobs):
+        prefix = str(tmp_path / "x")
+        code, out, err = run_cli(capsys, "scan", "bergeron", "--bound", "3",
+                                 "--jobs", jobs, "--out", prefix)
+        assert code == 2
+        assert "--jobs" in err
+        assert not (tmp_path / "x.jsonl").exists()
+
+
+# sha256 of the JSONL and CSV reports, recorded before the verifiers and
+# scanners shared one check loop; findings appear only in the F-strict run
+REPORT_GOLDEN = [
+    (
+        ["verify", "F", "--nmax", "8", "--kmax", "8"],
+        "f17511b19884517faed2c18b44eb141c9179a80982094c6e9f02e85cdb543c25",
+        "c23b836bbd55926d5efc6a0e05e5baa17b33771eb80af08e8e0aaa59a47e1528",
+    ),
+    (
+        ["verify", "G", "--nmax", "10", "--kmax", "11", "--rmax", "10"],
+        "4e2d65c338d78709be111094eaa163536c0a93c662cb71ae62ad03dbe25987a3",
+        "8c6ab2d6711a71237286799646fc638d0761cbfdaa97cfe0021d25038feca401",
+    ),
+    (
+        ["scan", "F-strict", "--nmax", "10", "--kmax", "16", "--include-below-range"],
+        "81675a54c456fc38201b299bc430b47d7dd625741827857b0ead1dd3ff2aecc1",
+        "8bc7456aade5a7db0ea290890080dcf1b346bab74ff40cacb50e5094f1aff74e",
+    ),
+    (
+        ["scan", "strange", "--nmax", "13", "--kmax", "4", "--rmax", "3"],
+        "efd3734019d00895acd1ab73b2b7349bc0bdfb36c067eb314007b32e6c89b14c",
+        "8acc234f73021d85c5c40c728f58c98e2654e6b1427ed20cb9454044ac999994",
+    ),
+    (
+        ["scan", "bergeron", "--bound", "8"],
+        "7d62525121a1f0048a1fb696e32362b909d74e430015384fd436945e103fc778",
+        "b42e1cc72b29a61eef414ebe9250f2c2dfaae4fabd1442e979c94214cfb960ca",
+    ),
+]
+
+
+class TestReportGolden:
+    @pytest.mark.parametrize(
+        "argv, jsonl_sha, csv_sha",
+        REPORT_GOLDEN,
+        ids=["-".join(argv[:2]) for argv, _, _ in REPORT_GOLDEN],
+    )
+    def test_report_bytes(self, capsys, tmp_path, argv, jsonl_sha, csv_sha):
+        prefix = tmp_path / "r"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(prefix))
+        assert code == 0
+        digest = lambda suffix: hashlib.sha256(
+            (tmp_path / f"r.{suffix}").read_bytes()
+        ).hexdigest()
+        assert (digest("jsonl"), digest("csv")) == (jsonl_sha, csv_sha)
+
 
 class TestExitCodeContract:
+    def test_verification_failure_exits_three(self, capsys, monkeypatch):
+        from semiinv.qpoly import QPoly
+
+        monkeypatch.setattr(differences, "F", lambda n, k: QPoly([1, 2, 1, 2, 1]))
+        code, out, err = run_cli(capsys, "verify", "F", "--nmax", "4", "--kmax", "4")
+        assert code == 3
+        assert out == ""
+        assert "verification failure" in err
+
     def test_dim_mismatch_exits_three(self, capsys, monkeypatch):
         import semiinv.cli as cli_mod
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from semiinv import differences
 from semiinv.boxpartitions import count_partitions_in_box, delta
 from semiinv.differences import (
     F,
@@ -190,12 +191,64 @@ class TestVerifiers:
         assert len(reports) == 3 + 2 + 3
         assert all(r.passed for r in reports)
 
-    def test_verifier_failure_carries_witness(self):
-        # feeding a wrong polynomial through the report path is awkward;
-        # instead check the exception type is raised for an inconsistent
-        # hand-built report
-        with pytest.raises(ValueError):
-            ScanReport("F", {"n": 2, "k": 2}, {"unimodal": False}, None, "sha256:x")
+    def test_verifier_failure_carries_witness(self, monkeypatch):
+        # symmetric, but falls at index 2 and rises again at index 3
+        monkeypatch.setattr(differences, "F", lambda n, k: QPoly([1, 2, 1, 2, 1]))
+        with pytest.raises(VerificationError) as info:
+            verify_theorem_F(4, 4)
+        assert info.value.family == "F"
+        assert info.value.params == {"n": 2, "k": 2}
+        assert info.value.witness == 3
+
+    def test_F_symmetry_failure(self, monkeypatch):
+        monkeypatch.setattr(differences, "F", lambda n, k: QPoly([1, 2, 3, 4, 5]))
+        with pytest.raises(VerificationError) as info:
+            verify_theorem_F(4, 4)
+        assert (info.value.family, info.value.params) == ("F", {"n": 2, "k": 2})
+        assert info.value.witness == 0
+
+    def test_F_delta_identity_failure(self, monkeypatch):
+        # every coefficient delta of F(2, 2) is off by one at m = 1
+        real = differences.delta
+        monkeypatch.setattr(
+            differences, "delta", lambda k, n, m: real(k, n, m) + (m == 1)
+        )
+        with pytest.raises(VerificationError) as info:
+            verify_theorem_F(4, 4)
+        assert (info.value.family, info.value.params) == ("F", {"n": 2, "k": 2})
+        assert info.value.witness == 1
+
+    def test_failure_names_the_failing_cell(self, monkeypatch):
+        # only the cell (4, 3) is broken; earlier cells pass
+        real = differences.F
+        monkeypatch.setattr(
+            differences,
+            "F",
+            lambda n, k: QPoly([1, 3, 2, 3, 1]) if (n, k) == (4, 3) else real(n, k),
+        )
+        with pytest.raises(VerificationError) as info:
+            verify_theorem_F(6, 6)
+        assert (info.value.family, info.value.params) == ("F", {"n": 4, "k": 3})
+        assert info.value.witness == 3
+
+    def test_G_symmetry_failure(self, monkeypatch):
+        monkeypatch.setattr(differences, "G", lambda n, k, r: QPoly([1, 2, 3, 4, 5]))
+        with pytest.raises(VerificationError) as info:
+            verify_theorem_G(9, 10, 9)
+        assert info.value.family == "G"
+        assert info.value.params == {"n": 8, "k": 8, "r": 8}
+        assert info.value.witness == 0
+
+    def test_G_strictness_failure(self, monkeypatch):
+        # symmetric and unimodal, with a flat top three coefficients wide
+        monkeypatch.setattr(
+            differences, "G", lambda n, k, r: QPoly([1, 1, 2, 2, 2, 1, 1])
+        )
+        with pytest.raises(VerificationError) as info:
+            verify_theorem_G(9, 10, 9)
+        assert info.value.family == "G"
+        assert info.value.params == {"n": 8, "k": 8, "r": 8}
+        assert info.value.witness == 4
 
     def test_verification_error_fields(self):
         err = VerificationError("boom", "G", {"n": 8}, 3)
@@ -253,6 +306,34 @@ class TestScanners:
         serial = scan_bergeron(5)
         parallel = scan_bergeron(5, jobs=2)
         assert serial == parallel
+
+    def test_workers_clamped_to_cpu_count(self, monkeypatch):
+        # a stand-in pool that records its size and runs in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(differences, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(differences.os, "cpu_count", lambda: 3)
+        serial = scan_bergeron(5)
+        assert scan_bergeron(5, jobs=10**6) == serial
+        assert scan_bergeron(5, jobs=2) == serial
+        assert sizes == [3, 2]
+        monkeypatch.setattr(differences.os, "cpu_count", lambda: None)
+        assert scan_bergeron(5, jobs=10**6) == serial  # unknown count: serial
+        assert scan_bergeron(5, jobs=0) == serial
+        assert sizes == [3, 2]
 
 
 class TestReports:

@@ -93,10 +93,9 @@ class TestMonomial:
         assert m.weight == 7
         assert m.n == 3
 
-    def test_box_partition_round_trip(self):
+    def test_box_partition_degree_and_weight(self):
         for bp in enumerate_partitions_in_box(3, 4, 5):
-            m = Monomial.from_box_partition(bp)
-            assert m.to_box_partition() == bp
+            m = Monomial(bp.nu)
             assert m.degree == bp.box_k
             assert m.weight == bp.weight
 
