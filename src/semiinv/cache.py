@@ -4,10 +4,13 @@ Disk files are named ``kernel_n{n}_k{k}_m{m}.json`` and written atomically
 (temp file in the target directory, then rename), so concurrent scans never
 observe a partial file.  A loaded basis is re-validated before reuse:
 every vector must be nonzero, annihilated by the lowering operator, and of
-degree ``k`` and weight ``m`` in every term; the vectors' trailing (anti-lex
-least) monomials must be pairwise distinct, which proves them independent;
-and for ``2m <= nk`` their number must be ``delta(k, n, m)``.  Anything
-corrupt is recomputed and rewritten rather than trusted.
+degree ``k`` and weight ``m`` in every term; for ``2m <= nk`` their number
+must be ``delta(k, n, m)``; and the basis must have the computed one's
+normal form: primitive vectors whose trailing (anti-lex least) monomials
+strictly increase in file order, each vector zero at every other vector's
+trailing monomial.  Together these force a loaded basis to equal the one
+:func:`~semiinv.cayley.kernel_basis` computes.  Anything corrupt is
+recomputed and rewritten rather than trusted.
 
 The cache directory is chosen from, in order: an explicit argument, the
 ``SEMIINV_CACHE`` environment variable, or nothing (memory only).  The CLI
@@ -46,7 +49,11 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``data`` to ``path`` through a temp file and a rename.
+
+    The directory must exist.  On any failure ``path`` keeps its old
+    content and the temp file is removed.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -79,12 +86,20 @@ def _load_valid(path: Path, n: int, k: int, m: int) -> KernelBasis | None:
     # a truncated file keeps the verified vectors; the count must be delta's
     if 2 * m <= n * k and kb.dim != delta(k, n, m):
         return None
-    # distinct trailing (anti-lex least) monomials prove independence; in a
-    # computed basis each is its vector's free column.  The least monomial
-    # has the greatest reversed exponent vector.
-    trailing = {max(nu[::-1] for nu, _ in v.items()) for v in kb.vectors}
-    if len(trailing) != kb.dim:
+    # In a computed basis each vector's trailing (anti-lex least) monomial
+    # is its free column, the vectors come in free-column order, each is
+    # zero at the other free columns, and each is primitive.  Any kernel
+    # vector's trailing monomial is a free column, so with the delta count
+    # these checks force the loaded basis to equal the computed one.  The
+    # least monomial has the greatest reversed exponent vector.
+    keys = [max(nu[::-1] for nu, _ in v.items()) for v in kb.vectors]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
         return None
+    for i, v in enumerate(kb.vectors):
+        if v != v.primitive():
+            return None
+        if any(v.coefficient(t[::-1]) for j, t in enumerate(keys) if j != i):
+            return None
     return kb
 
 
@@ -104,6 +119,7 @@ def kernel_basis_cached(
             return kb
     kb = kernel_basis(n, k, m)
     if directory is not None:
+        directory.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(
             directory / kernel_file_name(n, k, m),
             canonical_json_bytes(kb.to_json_obj()),

@@ -12,13 +12,20 @@ the underlying form, checked directly by :func:`shear_check`) exactly when
 ``D`` annihilates it, so semi-invariant bases are nullspaces of the sparse
 integer matrices built here.
 
-The nullspace computation is exact and fraction-free: rows are eliminated
-over the integers by cross-multiplication, each updated row is divided by
-the gcd of its entries, and kernel vectors are recovered by rational back
-substitution and scaled to coprime integer coordinates with a positive
-leading coefficient.  Pivoting follows the fixed anti-lexicographic column
-order with first-nonzero row selection, so bases are reproducible
-bit-for-bit across runs.
+The nullspace computation is exact and fraction-free.  Columns are taken
+in the fixed anti-lexicographic order; at each column the pivot is the row,
+among those still nonzero there, with the smallest ``(|entry|, row length,
+row index)``, which keeps fill-in and entry size down (a Markowitz-style
+choice).  The other rows are eliminated over the integers by
+cross-multiplication and each updated row is divided by the gcd of its
+entries.  The result does not depend on the pivot rows: column ``c`` is
+free exactly when it lies in the span of the columns before it, which row
+operations preserve, and the kernel vector with 1 at free column ``f`` and
+0 at the other free columns is unique.  Back substitution runs on plain
+integers with an implied common denominator, rescaling the entries found
+so far only when a pivot's reduced entry is not 1; each vector is then
+divided by its content and signed so that its leading coefficient is
+positive.  Bases are therefore reproducible bit-for-bit across runs.
 
 For weights up to half the maximum, the computed nullity must equal the
 partition-count difference ``delta(k, n, m)``; every kernel computation
@@ -106,83 +113,93 @@ def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
 
 
 def _content_normalize(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
+    g = gcd(*row.values())
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
 
 
 def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], list[int]]:
-    """Integer row echelon form.
+    """Integer row echelon form with sparsest-pivot choice.
 
     Returns ``(pivots, free_cols)`` where ``pivots`` is a list of
     ``(pivot_column, row)`` in ascending pivot-column order.  Rows are
-    sparse dicts over column indices; entries stay integral throughout and
-    every update is gcd-normalized to keep growth down.
+    sparse dicts over column indices; each pivot row is zero before its
+    pivot column.  Among the rows still nonzero at a column, the pivot is
+    the one with the smallest ``(|entry|, row length, row index)``; entries
+    stay integral throughout and every update is gcd-normalized.
     """
     rows: list[dict[int, int]] = [{} for _ in range(mat.nrows)]
     for c, col in enumerate(mat.cols):
         for r, v in col.items():
             rows[r][c] = v
-    # column -> set of candidate row indices currently nonzero there
+    # column -> rows not yet used as pivots that are nonzero there
     incidence: list[set[int]] = [set() for _ in range(mat.ncols)]
     for r, row in enumerate(rows):
         for c in row:
             incidence[c].add(r)
-    used = [False] * mat.nrows
     pivots: list[tuple[int, dict[int, int]]] = []
     free_cols: list[int] = []
     for c in range(mat.ncols):
-        cand = sorted(r for r in incidence[c] if not used[r] and c in rows[r])
+        cand = incidence[c]
         if not cand:
             free_cols.append(c)
             continue
-        piv = cand[0]
-        used[piv] = True
+        piv = min(cand, key=lambda r: (abs(rows[r][c]), len(rows[r]), r))
         prow = rows[piv]
+        for cc in prow:
+            incidence[cc].discard(piv)
         pivots.append((c, prow))
         a = prow[c]
-        for r in cand[1:]:
+        for r in list(cand):
             row = rows[r]
             b = row[c]
             g = gcd(a, b)
             fa, fb = a // g, b // g
-            new = {cc: fa * v for cc, v in row.items()}
+            new = row if fa == 1 else {cc: fa * v for cc, v in row.items()}
+            # only the pivot row's columns can gain or lose an entry
             for cc, v in prow.items():
-                w = new.get(cc, 0) - fb * v
-                if w:
-                    new[cc] = w
-                else:
-                    new.pop(cc, None)
-            new = _content_normalize(new)
-            for cc in row:
-                if cc not in new:
+                old = new.get(cc)
+                if old is None:
+                    new[cc] = -fb * v
+                    incidence[cc].add(r)
+                elif old == fb * v:
+                    del new[cc]
                     incidence[cc].discard(r)
-            for cc in new:
-                incidence[cc].add(r)
-            rows[r] = new
+                else:
+                    new[cc] = old - fb * v
+            rows[r] = _content_normalize(new)
     return pivots, free_cols
 
 
 def _back_substitute(
     pivots: list[tuple[int, dict[int, int]]], free_col: int
-) -> dict[int, Fraction]:
-    """Kernel vector with coordinate 1 at ``free_col``, 0 at other free columns."""
-    x: dict[int, Fraction] = {free_col: Fraction(1)}
+) -> dict[int, int]:
+    """Kernel vector with 1 at ``free_col`` and 0 at the other free columns.
+
+    The result is an integer multiple of that vector: ``x`` carries an
+    implied common denominator, and the earlier entries are rescaled only
+    when a pivot's reduced entry is not 1.
+    """
+    x: dict[int, int] = {free_col: 1}
+    get = x.get
     for c, row in reversed(pivots):
-        s = Fraction(0)
+        s = 0
         for cc, v in row.items():
-            if cc == c:
-                continue
-            xv = x.get(cc)
+            xv = get(cc)
             if xv is not None:
                 s += v * xv
-        if s:
-            x[c] = -s / row[c]
+        if not s:
+            continue
+        a = row[c]
+        g = gcd(a, s)
+        if a < 0:
+            g = -g
+        a //= g
+        if a != 1:
+            for cc in x:
+                x[cc] *= a
+        x[c] = -s // g
     return x
 
 
@@ -241,9 +258,11 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     col_basis = basis_exponents(n, k, m)
     vectors = []
     for f in free_cols:
-        x = _back_substitute(pivots, f)
-        poly = SIPoly(n, {col_basis[c]: v for c, v in x.items() if v}).primitive()
-        vectors.append(poly)
+        x = _content_normalize(_back_substitute(pivots, f))
+        # column 0 is the anti-lex greatest monomial, so the least column
+        # holds the leading coefficient
+        sign = 1 if x[min(x)] > 0 else -1
+        vectors.append(SIPoly(n, {col_basis[c]: sign * x[c] for c in sorted(x)}))
     kb = KernelBasis(n, k, m, tuple(vectors))
     if 2 * m <= n * k:
         expected = delta(k, n, m)

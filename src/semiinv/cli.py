@@ -80,7 +80,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     }
     data = cache.canonical_json_bytes(obj)
     if args.out:
-        Path(args.out).write_bytes(data)
+        cache.atomic_write_bytes(Path(args.out), data)
         _info(f"wrote {args.out}")
     else:
         sys.stdout.write(data.decode())

@@ -2,10 +2,12 @@
 
 These deliberately avoid the production code paths: partitions are grown
 part by part as decreasing tuples, polynomials are expanded with plain
-dicts, and ranks are computed by dense elimination over Fractions.
+dicts, and ranks and nullspaces are computed by dense elimination over
+Fractions.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def brute_partitions(k, n, m):
@@ -85,6 +87,63 @@ def dense_rank(vectors):
         if rank == len(rows):
             break
     return rank
+
+
+def dense_kernel(n, k, m):
+    """Primitive free-column nullspace of D on the (k, m) stratum.
+
+    Columns are the images ``apply_D(a^nu)`` of single monomials, taken in
+    descending anti-lexicographic order of ``nu`` from the brute-force
+    partition list; rows are every monomial those images reach.  A dense
+    reduced row echelon form over Fractions gives the free columns, and
+    free column ``f`` yields the kernel vector with 1 at ``f`` and 0 at the
+    other free columns, scaled to coprime integers with a positive entry at
+    its least column.  Returns ``(free_columns, vectors)`` with each vector
+    a ``{nu: int}`` dict; nothing here uses ``build_D_matrix`` or the
+    sparse elimination.
+    """
+    from semiinv.cayley import apply_D
+    from semiinv.monomials import SIPoly
+
+    cols = sorted(
+        (partition_to_nu(p, k, n) for p in brute_partitions(k, n, m)),
+        key=lambda nu: nu[::-1],
+    )
+    images = [apply_D(SIPoly(n, {nu: 1})) for nu in cols]
+    row_monos = sorted({mu for img in images for mu, _ in img.items()})
+    a = [[Fraction(img.coefficient(mu)) for img in images] for mu in row_monos]
+    pivot_cols = []
+    for c in range(len(cols)):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        lead = a[r][c]
+        a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                factor = a[i][c]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivot_cols.append(c)
+    free = [c for c in range(len(cols)) if c not in pivot_cols]
+    vectors = []
+    for f in free:
+        x = {f: Fraction(1)}
+        for r, c in enumerate(pivot_cols):
+            if a[r][f]:
+                x[c] = -a[r][f]
+        den = 1
+        for v in x.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        ints = {c: int(v * den) for c, v in x.items()}
+        g = 0
+        for v in ints.values():
+            g = gcd(g, v)
+        if ints[min(ints)] < 0:
+            g = -g
+        vectors.append({cols[c]: v // g for c, v in ints.items()})
+    return free, vectors
 
 
 # the explicit degree-4, weight-6 semi-invariants of a quartic form

@@ -1,11 +1,19 @@
+import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiinv.boxpartitions import count_partitions_in_box, delta
+from semiinv.cache import canonical_json_bytes
 from semiinv.cayley import (
     KernelBasis,
+    SparseIntMatrix,
+    _back_substitute,
+    _echelon,
     apply_D,
     basis_exponents,
     build_D_matrix,
@@ -16,7 +24,7 @@ from semiinv.cayley import (
 )
 from semiinv.monomials import Monomial, SIPoly
 
-from helpers import I1_TERMS, I2_TERMS, dense_rank
+from helpers import I1_TERMS, I2_TERMS, dense_kernel, dense_rank
 
 # classical explicit semi-invariants
 J_QUAD = SIPoly(2, {(1, 0, 1): 1, (0, 2, 0): -1})  # a0 a2 - a1^2 (discriminant)
@@ -155,6 +163,65 @@ class TestKernel:
             kernel_basis(3, 3, -1)
         with pytest.raises(ValueError):
             kernel_basis(3, 3, 10)
+
+
+def _primitive_int_vector(x):
+    """``x`` divided by its content, positive at its least column."""
+    g = 0
+    for v in x.values():
+        g = gcd(g, v)
+    if x[min(x)] < 0:
+        g = -g
+    return {c: v // g for c, v in x.items()}
+
+
+class TestEliminationOrder:
+    def test_matches_dense_reference_on_small_strata(self):
+        for n in range(6):
+            for k in range(6):
+                for m in range(n * k + 1):
+                    free, expected = dense_kernel(n, k, m)
+                    kb = kernel_basis(n, k, m)
+                    got = [
+                        {nu: int(c) for nu, c in v.items()} for v in kb.vectors
+                    ]
+                    assert got == expected, (n, k, m)
+                    if m:
+                        assert _echelon(build_D_matrix(n, k, m))[1] == free
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_row_order_does_not_change_the_kernel(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        k = data.draw(st.integers(1, 6), label="k")
+        m = data.draw(st.integers(1, n * k), label="m")
+        mat = build_D_matrix(n, k, m)
+        perm = data.draw(st.permutations(range(mat.nrows)), label="perm")
+        shuffled = SparseIntMatrix(
+            mat.nrows,
+            mat.ncols,
+            tuple({perm[r]: v for r, v in col.items()} for col in mat.cols),
+        )
+        pivots, free = _echelon(mat)
+        pivots2, free2 = _echelon(shuffled)
+        assert free2 == free
+        assert [c for c, _ in pivots2] == [c for c, _ in pivots]
+        for f in free:
+            assert _primitive_int_vector(
+                _back_substitute(pivots2, f)
+            ) == _primitive_int_vector(_back_substitute(pivots, f))
+
+    @pytest.mark.parametrize(
+        "stratum, digest",
+        [
+            ((8, 8, 32), "41188cf41ebf1f2d6b543ac7cd13f1ab2b2638201c9607866cd1b70965b5ad4c"),
+            ((9, 7, 31), "d9f9b13ac4caf96ef125462a735081cdb6928f0646a78d2ce74d4691334f1e5f"),
+        ],
+        ids=["8-8-32", "9-7-31"],
+    )
+    def test_large_basis_golden(self, stratum, digest):
+        data = canonical_json_bytes(kernel_basis(*stratum).to_json_obj())
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestDimension:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -119,11 +120,34 @@ class TestBasisCommand:
         )
         assert code == 4
 
+    def test_failed_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        out_path = tmp_path / "basis.json"
+        cachedir = str(tmp_path / "cache")
+        assert run_cli(capsys, "basis", "4", "4", "6", "--out", str(out_path),
+                       "--cache-dir", cachedir)[0] == 0
+        out_path.write_bytes(b"old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code, _, _ = run_cli(capsys, "basis", "4", "4", "6", "--out", str(out_path),
+                             "--cache-dir", cachedir)
+        assert code == 4
+        assert out_path.read_bytes() == b"old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_bad_params_exit_code(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "basis", "2", "3", "99", "--cache-dir", str(tmp_path)
         )
         assert code == 2
+
+
+def _with_vectors(obj, change):
+    """``obj`` with its two vectors replaced by ``change(v1, v2)``."""
+    v1, v2 = cache.KernelBasis.from_json_obj(obj).vectors
+    return {**obj, "vectors": [v.to_json_list() for v in change(v1, v2)]}
 
 
 class TestCache:
@@ -165,8 +189,16 @@ class TestCache:
             lambda obj: {**obj, "vectors": [obj["vectors"][0]] * 2},
             # the (4, 4, 4) basis, also of dimension 2, filed under weight 6
             lambda obj: {**cache.kernel_basis(4, 4, 4).to_json_obj(), "m": 6},
+            # a rescaled kernel vector: still independent, no longer primitive
+            lambda obj: _with_vectors(obj, lambda v1, v2: [v1 * 2, v2]),
+            # a recombined pair: primitive, independent, distinct trailing
+            # monomials, but the second is nonzero at the first's
+            lambda obj: _with_vectors(obj, lambda v1, v2: [v1, v1 + v2]),
+            # the right vectors out of free-column order
+            lambda obj: _with_vectors(obj, lambda v1, v2: [v2, v1]),
         ],
-        ids=["truncated", "duplicated", "other-stratum"],
+        ids=["truncated", "duplicated", "other-stratum", "doubled", "recombined",
+             "swapped"],
     )
     def test_untrusted_basis_recomputed(self, tmp_path, tamper):
         cache.clear_memory_cache()
