@@ -119,13 +119,18 @@ def enumerate_partitions_in_box(k: int, n: int, m: int) -> list[BoxPartition]:
     ``(nu_n, nu_n-1, ..., nu_1)``.  The length of the result always equals
     ``count_partitions_in_box(k, n, m)``.
     """
+    return [BoxPartition(nu, k, n) for nu in _multiplicity_vectors(k, n, m)]
+
+
+def _multiplicity_vectors(k: int, n: int, m: int) -> list[tuple[int, ...]]:
+    """The ``nu`` of :func:`enumerate_partitions_in_box`, in the same order."""
     if k < 0 or n < 0:
         raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
     if not 0 <= m <= n * k:
         raise ValueError(f"weight {m} outside [0, {n * k}]")
     if n == 0:
-        return [BoxPartition((k,), k, n)]
-    out: list[BoxPartition] = []
+        return [(k,)]
+    out: list[tuple[int, ...]] = []
     # Depth-first over levels j = 0..n-1, which choose nu_i for i = n - j.
     # chosen[j] is that choice; parts[j] and weight[j] are what the parts
     # of size <= i still have to take.  Each level counts upward from its
@@ -151,6 +156,6 @@ def enumerate_partitions_in_box(k: int, n: int, m: int) -> list[BoxPartition]:
             v = max(0, rest - (i - 2) * rest_parts)
         else:
             # at i == 1 the bound forces rest == 0; the parts left are zeros
-            out.append(BoxPartition((rest_parts, *reversed(chosen)), k, n))
+            out.append((rest_parts, *reversed(chosen)))
             v += 1
     return out

@@ -2,7 +2,8 @@
 
 Disk files are named ``kernel_n{n}_k{k}_m{m}.json`` and written atomically
 (temp file in the target directory, then rename), so concurrent scans never
-observe a partial file.  A loaded basis is re-validated before reuse:
+observe a partial file.  A loaded basis is re-validated before reuse: the
+file's bytes must be the canonical serialization of what they decode to;
 every vector must be nonzero, annihilated by the lowering operator, and of
 degree ``k`` and weight ``m`` in every term; for ``2m <= nk`` their number
 must be ``delta(k, n, m)``; and the basis must have the computed one's
@@ -69,12 +70,15 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def _load_valid(path: Path, n: int, k: int, m: int) -> KernelBasis | None:
     try:
-        with path.open("rb") as fh:
-            obj = json.load(fh)
-        kb = KernelBasis.from_json_obj(obj)
-    except (OSError, ValueError, KeyError, TypeError):
+        data = path.read_bytes()
+        kb = KernelBasis.from_json_obj(json.loads(data))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
         return None
     if (kb.n, kb.k, kb.m) != (n, k, m):
+        return None
+    # only the bytes this module writes are trusted: no other spacing, key
+    # order or spelling of a number
+    if data != canonical_json_bytes(kb.to_json_obj()):
         return None
     if not kb.verify():
         return None

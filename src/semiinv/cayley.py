@@ -40,8 +40,8 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Sequence
 
-from .boxpartitions import delta, enumerate_partitions_in_box
-from .monomials import Coeff, SIPoly
+from .boxpartitions import _multiplicity_vectors, delta
+from .monomials import Coeff, SIPoly, _nonzero, _width
 
 
 class SylvesterMismatchError(RuntimeError):
@@ -50,24 +50,27 @@ class SylvesterMismatchError(RuntimeError):
 
 def basis_exponents(n: int, k: int, m: int) -> list[tuple[int, ...]]:
     """Monomial basis of the (degree k, weight m) stratum, anti-lex descending."""
-    return [bp.nu for bp in enumerate_partitions_in_box(k, n, m)]
+    return _multiplicity_vectors(k, n, m)
 
 
 def apply_D(p: SIPoly) -> SIPoly:
     """Image of ``p`` under the lowering operator for its form degree."""
-    integral = all(c.denominator == 1 for _, c in p.items())
-    out: dict[tuple[int, ...], Fraction | int] = {}
+    # D keeps the degree, so the image has the keys' slot width: moving one
+    # unit of exponent from slot i to slot i-1 adds (1 << w*(i-1)) - (1 << w*i)
+    w = _width(p._deg)
+    mask = (1 << w) - 1
+    steps = [
+        (i, w * i, (1 << w * (i - 1)) - (1 << w * i)) for i in range(1, p.n + 1)
+    ]
+    out: dict[int, Coeff] = {}
     get = out.get
-    for nu, c in p.items():
-        if integral:
-            c = c.numerator
-        for i in range(1, p.n + 1):
-            e = nu[i]
-            if not e:
-                continue
-            mu = nu[: i - 1] + (nu[i - 1] + 1, e - 1) + nu[i + 1 :]
-            out[mu] = get(mu, 0) + c * i * e
-    return SIPoly(p.n, {mu: v for mu, v in out.items() if v})
+    for key, c in p._terms.items():
+        for i, shift, step in steps:
+            e = key >> shift & mask
+            if e:
+                mu = key + step
+                out[mu] = get(mu, 0) + c * i * e
+    return p._wrap(_nonzero(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +79,14 @@ class SparseIntMatrix:
 
     ``cols[j]`` maps row index to the nonzero entry in column ``j``.  Rows
     index the target stratum basis (weight ``m-1``), columns the source
-    basis (weight ``m``), both in descending anti-lexicographic order.
+    basis (weight ``m``), both in descending anti-lexicographic order;
+    ``col_exponents`` holds the exponent vectors of the source basis.
     """
 
     nrows: int
     ncols: int
     cols: tuple[dict[int, int], ...]
+    col_exponents: tuple[tuple[int, ...], ...] = ()
 
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols)
@@ -109,7 +114,9 @@ def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
                 mu[i - 1] += 1
                 col[row_index[tuple(mu)]] = i * nu[i]
         cols.append(col)
-    return SparseIntMatrix(len(row_basis), len(col_basis), tuple(cols))
+    return SparseIntMatrix(
+        len(row_basis), len(col_basis), tuple(cols), tuple(col_basis)
+    )
 
 
 def _content_normalize(row: dict[int, int]) -> dict[int, int]:
@@ -255,7 +262,7 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
         return KernelBasis(n, k, m, (SIPoly.term(n, nu, 1),))
     mat = build_D_matrix(n, k, m)
     pivots, free_cols = _echelon(mat)
-    col_basis = basis_exponents(n, k, m)
+    col_basis = mat.col_exponents
     vectors = []
     for f in free_cols:
         x = _content_normalize(_back_substitute(pivots, f))

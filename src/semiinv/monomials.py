@@ -18,17 +18,27 @@ term of a product is the product of the leading terms.  That fact is what
 makes leading-term triangulation of semi-invariant bases work.
 
 :class:`SIPoly` is a sparse polynomial over these monomials with exact
-rational coefficients (kept in lowest terms with positive denominators by
-:class:`fractions.Fraction`).  Values are immutable; all operations return
-new objects.
+rational coefficients: a plain ``int`` when integral, a
+:class:`fractions.Fraction` (lowest terms, positive denominator) otherwise.
+Each exponent vector is stored as one packed int key, ``nu_i`` in bits
+``[w*i, w*(i+1))`` and so ``nu_n`` in the most significant slot; ascending
+key order is then descending monomial order, the leading monomial has the
+least key, and a product's key is the sum of its factors' keys.  The slot
+width ``w`` is the bit length of a bound on the total degree of the terms,
+so no exponent reaches the next slot: a product's width comes from the sum
+of its factors' degree bounds (and a factor of another width is re-encoded
+first), and a key is never packed from an exponent that does not fit.
+Keys stay small (45 bits for ``n = 8`` up to degree 31), which keeps key
+arithmetic and hashing cheap.  Exponent tuples appear only at the
+boundaries (``items``, ``sorted_terms``, ``leading_nu``, JSON and ``str``).
+Values are immutable; all operations return new objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import add
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -109,22 +119,76 @@ def antilex_compare(m1: Monomial, m2: Monomial) -> int:
 Coeff = Fraction | int
 
 
+def _width(deg: int) -> int:
+    """Bits per exponent slot for terms of total degree at most ``deg``.
+
+    No exponent exceeds the degree, so every exponent fits its slot.
+    """
+    return deg.bit_length() or 1
+
+
+def _pack(nu: Sequence[int], w: int) -> int:
+    """Exponent vector to key: ``nu_i`` in bits ``[w*i, w*(i+1))``.
+
+    Raises ``ValueError`` for an exponent that is negative or does not fit
+    ``w`` bits, rather than letting it carry into the next slot.
+    """
+    key = 0
+    for e in reversed(nu):
+        if e >> w:
+            raise ValueError(f"exponent {e} does not fit a {w}-bit slot")
+        key = key << w | e
+    return key
+
+
+def _unpack(keys: Iterable[int], n: int, w: int) -> Iterator[tuple[int, ...]]:
+    """Exponent vectors of ``keys``, in the same order (one pass per slot)."""
+    mask = (1 << w) - 1
+    keys = list(keys)
+    shifts = range(0, w * (n + 1), w)
+    slots = [[key >> shift & mask for key in keys] for shift in shifts]
+    return zip(*slots)
+
+
+def _repack(terms: dict[int, Coeff], n: int, w: int, w_new: int) -> dict[int, Coeff]:
+    """The same terms keyed at slot width ``w_new >= w``."""
+    if w == w_new:
+        return terms
+    mask = (1 << w) - 1
+    shifts = [(w * i, w_new * i) for i in range(n + 1)]
+    return {
+        sum((key >> a & mask) << b for a, b in shifts): c for key, c in terms.items()
+    }
+
+
+def _nonzero(terms: dict[int, Coeff]) -> dict[int, Coeff]:
+    """Drop zero coefficients and turn integral Fractions into ints."""
+    return {
+        key: c if type(c) is int or c.denominator != 1 else c.numerator
+        for key, c in terms.items()
+        if c
+    }
+
+
 class SIPoly:
     """Sparse polynomial in ``a_0..a_n`` with exact rational coefficients.
 
-    Terms are a map from exponent vectors (tuples of length ``n+1``) to
-    nonzero :class:`~fractions.Fraction` coefficients.  Instances are
-    immutable by convention; arithmetic returns fresh objects.
+    Terms are a map from packed exponent vectors to nonzero coefficients,
+    each a plain ``int`` when integral and a
+    :class:`~fractions.Fraction` otherwise.  ``_deg`` bounds the total
+    degree of every term and fixes the slot width of the keys; the public
+    interface speaks in exponent tuples of length ``n+1`` only.  Instances
+    are immutable by convention; arithmetic returns fresh objects.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_deg", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], Coeff] | Iterable = ()):
         if n < 0:
             raise ValueError("form degree n must be nonnegative")
         self.n = n
         items = terms.items() if isinstance(terms, Mapping) else terms
-        tdict: dict[tuple[int, ...], Fraction] = {}
+        pairs = []
         for nu, c in items:
             nu = tuple(nu)
             if len(nu) != n + 1:
@@ -133,13 +197,17 @@ class SIPoly:
                 )
             if any(v < 0 for v in nu):
                 raise ValueError(f"negative exponent in {nu}")
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
             if c:
-                acc = tdict.get(nu)
-                tdict[nu] = c if acc is None else acc + c
-                if not tdict[nu]:
-                    del tdict[nu]
-        self._terms = tdict
+                pairs.append((nu, c))
+        self._deg = max((sum(nu) for nu, _ in pairs), default=0)
+        w = _width(self._deg)
+        acc: dict[int, Coeff] = {}
+        for nu, c in pairs:
+            key = _pack(nu, w)
+            acc[key] = acc.get(key, 0) + c
+        self._terms = _nonzero(acc)
 
     @classmethod
     def zero(cls, n: int) -> "SIPoly":
@@ -160,11 +228,29 @@ class SIPoly:
         nu[i] = 1
         return cls(n, {tuple(nu): 1})
 
-    def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        return iter(self._terms.items())
+    def _wrap(self, terms: dict[int, Coeff], deg: int | None = None) -> "SIPoly":
+        p = SIPoly.__new__(SIPoly)
+        p.n = self.n
+        p._deg = self._deg if deg is None else deg
+        p._terms = terms
+        return p
 
-    def coefficient(self, nu: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(nu), Fraction(0))
+    def _at(self, w: int) -> dict[int, Coeff]:
+        """Terms keyed at slot width ``w`` (at least this polynomial's)."""
+        return _repack(self._terms, self.n, _width(self._deg), w)
+
+    def items(self) -> Iterator[tuple[tuple[int, ...], Coeff]]:
+        terms = self._terms
+        return zip(_unpack(terms, self.n, _width(self._deg)), terms.values())
+
+    def coefficient(self, nu: Sequence[int]) -> Coeff:
+        if len(nu) != self.n + 1:
+            return 0
+        try:
+            key = _pack(nu, _width(self._deg))
+        except ValueError:  # negative, or above the degree bound
+            return 0
+        return self._terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -173,42 +259,49 @@ class SIPoly:
         return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SIPoly)
-            and self.n == other.n
-            and self._terms == other._terms
-        )
+        if not isinstance(other, SIPoly):
+            return False
+        if self.n != other.n or len(self._terms) != len(other._terms):
+            return False
+        w = _width(max(self._deg, other._deg))
+        return self._at(w) == other._at(w)
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._terms.items())))
+        return hash((self.n, frozenset(self.items())))
 
     def _check_same_n(self, other: "SIPoly") -> None:
         if self.n != other.n:
             raise ValueError(f"mixed form degrees: n={self.n} vs n={other.n}")
 
-    def __add__(self, other: "SIPoly") -> "SIPoly":
+    def _combine(self, other: "SIPoly", sign: int) -> "SIPoly":
+        """``self + sign*other`` for ``sign`` 1 or -1."""
         self._check_same_n(other)
-        out = dict(self._terms)
-        for nu, c in other._terms.items():
-            acc = out.get(nu)
-            v = c if acc is None else acc + c
-            if v:
-                out[nu] = v
-            elif acc is not None:
-                del out[nu]
-        return self._wrap(out)
+        deg = max(self._deg, other._deg)
+        w = _width(deg)
+        out = dict(self._at(w))
+        get = out.get
+        for key, c in other._at(w).items():
+            out[key] = get(key, 0) + sign * c
+        return self._wrap(_nonzero(out), deg)
+
+    def __add__(self, other: "SIPoly") -> "SIPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SIPoly") -> "SIPoly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "SIPoly":
-        return self._wrap({nu: -c for nu, c in self._terms.items()})
+        return self._wrap({key: -c for key, c in self._terms.items()})
 
     def scale(self, c: Coeff) -> "SIPoly":
         c = Fraction(c)
         if not c:
             return SIPoly(self.n)
-        return self._wrap({nu: c * v for nu, v in self._terms.items()})
+        if c.denominator == 1:
+            c = c.numerator
+            if c == 1:
+                return self
+        return self._wrap(_nonzero({key: c * v for key, v in self._terms.items()}))
 
     def __mul__(self, other: "SIPoly | Coeff") -> "SIPoly":
         if isinstance(other, (int, Fraction)):
@@ -216,33 +309,17 @@ class SIPoly:
         if not isinstance(other, SIPoly):
             return NotImplemented
         self._check_same_n(other)
-        # integral operands (the common case: primitive kernel vectors and
-        # their products) are accumulated with plain ints, which is several
-        # times faster than Fraction arithmetic on large products
-        if all(c.denominator == 1 for c in self._terms.values()) and all(
-            c.denominator == 1 for c in other._terms.values()
-        ):
-            acc_int: dict[tuple[int, ...], int] = {}
-            get = acc_int.get
-            for nu1, c1 in self._terms.items():
-                c1 = c1.numerator
-                for nu2, c2 in other._terms.items():
-                    nu = tuple(map(add, nu1, nu2))
-                    acc_int[nu] = get(nu, 0) + c1 * c2.numerator
-            return self._wrap(
-                {nu: Fraction(v) for nu, v in acc_int.items() if v}
-            )
-        out: dict[tuple[int, ...], Fraction] = {}
-        for nu1, c1 in self._terms.items():
-            for nu2, c2 in other._terms.items():
-                nu = tuple(map(add, nu1, nu2))
-                acc = out.get(nu)
-                v = c1 * c2 if acc is None else acc + c1 * c2
-                if v:
-                    out[nu] = v
-                elif acc is not None:
-                    del out[nu]
-        return self._wrap(out)
+        # degrees add, so the keys of the product's width add without carries
+        deg = self._deg + other._deg
+        w = _width(deg)
+        right = list(other._at(w).items())
+        acc: dict[int, Coeff] = {}
+        get = acc.get
+        for k1, c1 in self._at(w).items():
+            for k2, c2 in right:
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+        return self._wrap(_nonzero(acc), deg)
 
     def __rmul__(self, other: Coeff) -> "SIPoly":
         if isinstance(other, (int, Fraction)):
@@ -261,28 +338,25 @@ class SIPoly:
             e >>= 1
         return result
 
-    def _wrap(self, terms: dict[tuple[int, ...], Fraction]) -> "SIPoly":
-        p = SIPoly.__new__(SIPoly)
-        p.n = self.n
-        p._terms = terms
-        return p
-
     def leading_nu(self) -> tuple[int, ...]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        return min(self._terms, key=lambda nu: nu[::-1])
+        # nu_n sits in the top slot, so the least key is the greatest monomial
+        return next(_unpack([min(self._terms)], self.n, _width(self._deg)))
 
     def leading_monomial(self) -> Monomial:
         return Monomial(self.leading_nu())
 
-    def leading_coefficient(self) -> Fraction:
-        return self._terms[self.leading_nu()]
+    def leading_coefficient(self) -> Coeff:
+        if not self._terms:
+            raise ValueError("zero polynomial has no leading term")
+        return self._terms[min(self._terms)]
 
     def bidegree(self) -> tuple[int, int]:
         """(degree, weight) of a homogeneous polynomial; error if mixed."""
         if not self._terms:
             raise ValueError("zero polynomial has no bidegree")
-        it = iter(self._terms)
+        it = (nu for nu, _ in self.items())
         nu0 = next(it)
         k = sum(nu0)
         m = sum(i * v for i, v in enumerate(nu0))
@@ -297,7 +371,7 @@ class SIPoly:
             raise ValueError(f"expected {self.n + 1} values, got {len(values)}")
         vals = [Fraction(v) for v in values]
         total = Fraction(0)
-        for nu, c in self._terms.items():
+        for nu, c in self.items():
             prod = c
             for v, e in zip(vals, nu):
                 if e:
@@ -307,25 +381,26 @@ class SIPoly:
 
     def primitive(self) -> "SIPoly":
         """Canonical scaling: coprime integer coefficients, leading one positive."""
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return self
-        denlcm = 1
-        for c in self._terms.values():
-            d = c.denominator
-            denlcm = denlcm // gcd(denlcm, d) * d
-        ints = {nu: int(c * denlcm) for nu, c in self._terms.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if ints[self.leading_nu()] < 0:
+        ints = terms
+        if Fraction in set(map(type, terms.values())):
+            den = lcm(*(c.denominator for c in terms.values()))
+            ints = {key: (c * den).numerator for key, c in terms.items()}
+        g = gcd(*ints.values())
+        if ints[min(ints)] < 0:
             g = -g
-        return self._wrap({nu: Fraction(v // g) for nu, v in ints.items()})
+        if g == 1:
+            return self if ints is terms else self._wrap(ints)
+        return self._wrap({key: v // g for key, v in ints.items()})
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         """Terms in descending anti-lexicographic monomial order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0][::-1])
+        terms = self._terms
+        keys = sorted(terms)
+        nus = _unpack(keys, self.n, _width(self._deg))
+        return list(zip(nus, map(terms.__getitem__, keys)))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -357,13 +432,11 @@ class SIPoly:
 
     @classmethod
     def from_json_list(cls, n: int, obj: Iterable[dict]) -> "SIPoly":
-        return cls(
-            n,
-            {
-                tuple(t["nu"]): Fraction(int(t["num"]), int(t["den"]))
-                for t in obj
-            },
-        )
+        terms = {}
+        for t in obj:
+            num, den = int(t["num"]), int(t["den"])
+            terms[tuple(t["nu"])] = num if den == 1 else Fraction(num, den)
+        return cls(n, terms)
 
 
 def leading_term(p: SIPoly) -> Monomial:

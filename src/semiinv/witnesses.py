@@ -24,6 +24,7 @@ taken on faith from the counting side.
 from __future__ import annotations
 
 import os
+from math import gcd
 from typing import Sequence
 
 from .boxpartitions import delta
@@ -49,10 +50,16 @@ def _common_n(vs: Sequence[SIPoly]) -> int:
 
 def _reduce(vs: Sequence[SIPoly], on_dependence: str) -> list[SIPoly] | None:
     """Leading-term elimination.  Returns triangulated list, or None if a
-    vector reduced to zero and ``on_dependence`` is \"none\"."""
+    vector reduced to zero and ``on_dependence`` is \"none\".
+
+    Vectors are kept primitive, and each elimination step cross-multiplies
+    by the two leading coefficients over their gcd, so every vector stays
+    integral and a nonzero multiple of the one a rational elimination would
+    give; the primitive results are therefore the same.
+    """
     pivots: dict[tuple[int, ...], SIPoly] = {}
     for idx, v in enumerate(vs):
-        w = v
+        w = v.primitive()
         while True:
             if w.is_zero():
                 if on_dependence == "raise":
@@ -63,9 +70,11 @@ def _reduce(vs: Sequence[SIPoly], on_dependence: str) -> list[SIPoly] | None:
             if piv is None:
                 pivots[lead] = w
                 break
-            w = w - piv.scale(w.coefficient(lead) / piv.coefficient(lead))
+            a, b = piv.leading_coefficient(), w.leading_coefficient()
+            g = gcd(a, b)
+            w = (w.scale(a // g) - piv.scale(b // g)).primitive()
     ordered = sorted(pivots, key=lambda nu: nu[::-1])
-    return [pivots[nu].primitive() for nu in ordered]
+    return [pivots[nu] for nu in ordered]
 
 
 def triangulate(vs: Sequence[SIPoly]) -> list[SIPoly]:

@@ -2,12 +2,12 @@
 
 These deliberately avoid the production code paths: partitions are grown
 part by part as decreasing tuples, polynomials are expanded with plain
-dicts, and ranks and nullspaces are computed by dense elimination over
-Fractions.
+dicts keyed by exponent tuples, and ranks and nullspaces are computed by
+dense elimination over Fractions.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def brute_partitions(k, n, m):
@@ -52,6 +52,72 @@ def brute_mul(terms1, terms2):
             nu = tuple(a + b for a, b in zip(nu1, nu2))
             out[nu] = out.get(nu, 0) + c1 * c2
     return {nu: c for nu, c in out.items() if c}
+
+
+class RefPoly:
+    """Reference sparse polynomial: exponent tuples to nonzero Fractions.
+
+    Mirrors the arithmetic and the canonical forms of ``SIPoly`` the plain
+    way, with no key packing and no int coefficients.
+    """
+
+    def __init__(self, n, terms=()):
+        self.n = n
+        self.terms = {}
+        for nu, c in dict(terms).items():
+            self._add_term(tuple(nu), Fraction(c))
+
+    def _add_term(self, nu, c):
+        v = self.terms.get(nu, Fraction(0)) + c
+        if v:
+            self.terms[nu] = v
+        else:
+            self.terms.pop(nu, None)
+
+    def __add__(self, other):
+        out = RefPoly(self.n, self.terms)
+        for nu, c in other.terms.items():
+            out._add_term(nu, c)
+        return out
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return RefPoly(self.n, {nu: Fraction(c) * v for nu, v in self.terms.items()})
+
+    def __mul__(self, other):
+        out = RefPoly(self.n)
+        for nu1, c1 in self.terms.items():
+            for nu2, c2 in other.terms.items():
+                out._add_term(tuple(a + b for a, b in zip(nu1, nu2)), c1 * c2)
+        return out
+
+    def __pow__(self, e):
+        out = RefPoly(self.n, {(0,) * (self.n + 1): 1})
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def leading_nu(self):
+        return min(self.terms, key=lambda nu: nu[::-1])
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: kv[0][::-1])
+
+    def primitive(self):
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        ints = {nu: int(c * den) for nu, c in self.terms.items()}
+        g = gcd(*ints.values())
+        if ints[self.leading_nu()] < 0:
+            g = -g
+        return RefPoly(self.n, {nu: v // g for nu, v in ints.items()})
+
+    def to_json_list(self):
+        return [
+            {"nu": list(nu), "num": str(c.numerator), "den": str(c.denominator)}
+            for nu, c in self.sorted_terms()
+        ]
 
 
 def dense_rank(vectors):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import semiinv
 from semiinv import cache, differences
 from semiinv.cli import main
 
@@ -196,9 +197,20 @@ class TestCache:
             lambda obj: _with_vectors(obj, lambda v1, v2: [v1, v1 + v2]),
             # the right vectors out of free-column order
             lambda obj: _with_vectors(obj, lambda v1, v2: [v2, v1]),
+            # the right basis in bytes that are not the canonical ones
+            lambda obj: json.dumps(obj, indent=1).encode(),
+            lambda obj: cache.canonical_json_bytes(dict(reversed(obj.items()))),
+            lambda obj: cache.canonical_json_bytes(obj).replace(
+                b'"num":"1"', b'"num":"+1"', 1
+            ),
+            # a coefficient that does not decode to a number
+            lambda obj: cache.canonical_json_bytes(obj).replace(
+                b'"den":"1"', b'"den":"0"', 1
+            ),
         ],
         ids=["truncated", "duplicated", "other-stratum", "doubled", "recombined",
-             "swapped"],
+             "swapped", "whitespace", "reordered-keys", "plus-sign",
+             "zero-denominator"],
     )
     def test_untrusted_basis_recomputed(self, tmp_path, tamper):
         cache.clear_memory_cache()
@@ -207,7 +219,11 @@ class TestCache:
             assert kb.dim == 2
             path = tmp_path / "kernel_n4_k4_m6.json"
             good = path.read_bytes()
-            path.write_bytes(cache.canonical_json_bytes(tamper(json.loads(good))))
+            bad = tamper(json.loads(good))
+            if not isinstance(bad, bytes):
+                bad = cache.canonical_json_bytes(bad)
+            assert bad != good
+            path.write_bytes(bad)
             cache.clear_memory_cache()
             kb2 = cache.kernel_basis_cached(4, 4, 6, tmp_path)
             assert kb2.vectors == kb.vectors
@@ -368,10 +384,15 @@ class TestExitCodeContract:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # run the package this session imported, also when pytest put it on
+        # sys.path itself rather than through PYTHONPATH
+        src = os.path.dirname(os.path.dirname(os.path.abspath(semiinv.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "semiinv.cli", "gauss", "4", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1 + q + 2q^2 + q^3 + q^4"

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiinv.boxpartitions import enumerate_partitions_in_box
-from semiinv.monomials import Monomial, SIPoly, antilex_compare, leading_term
+from semiinv.monomials import Monomial, SIPoly, _pack, antilex_compare, leading_term
 
-from helpers import I1_TERMS, I2_TERMS, brute_mul
+from helpers import I1_TERMS, I2_TERMS, RefPoly, brute_mul
 
 # the worked descending chain for n=4, degree 4, weight 6
 CHAIN = [
@@ -210,3 +212,88 @@ class TestSIPoly:
         assert nus == sorted(nus, key=lambda nu: nu[::-1])
         q = SIPoly.from_json_list(4, json.loads(json.dumps(obj)))
         assert q == p
+
+
+# exponents at and past the slot widths that degrees 1..64 give (1..7 bits)
+EXPONENTS = st.one_of(
+    st.integers(0, 3), st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64])
+)
+COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def same(p, ref):
+    """``p`` has ``ref``'s terms in ``ref``'s order, ints where integral."""
+    terms = p.sorted_terms()
+    assert terms == ref.sorted_terms()
+    assert all(
+        type(c) is (int if c.denominator == 1 else Fraction) for _, c in terms
+    )
+    assert dict(p.items()) == ref.terms
+    return True
+
+
+class TestPackedKeysAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_arithmetic_and_canonical_forms(self, data):
+        n = data.draw(st.integers(0, 3), label="n")
+        pool = data.draw(
+            st.lists(st.tuples(*[EXPONENTS] * (n + 1)), min_size=1, max_size=6),
+            label="monomials",
+        )
+        # p and q draw from one pool, so sums and products can cancel
+        terms = st.dictionaries(st.sampled_from(pool), COEFFS, max_size=5)
+        t1, t2 = data.draw(terms, label="p"), data.draw(terms, label="q")
+        c = data.draw(COEFFS, label="c")
+        e = data.draw(st.integers(0, 3), label="e")
+        p, q = SIPoly(n, t1), SIPoly(n, t2)
+        rp, rq = RefPoly(n, t1), RefPoly(n, t2)
+        assert same(p, rp) and same(q, rq)
+        assert same(p + q, rp + rq)
+        assert same(p - q, rp - rq)
+        assert same(p * q, rp * rq)
+        assert same(p**e, rp**e)
+        assert same(p.scale(c), rp.scale(c))
+        if not p.is_zero():
+            assert same(p.primitive(), rp.primitive())
+            assert p.leading_nu() == rp.leading_nu()
+        obj = p.to_json_list()
+        assert obj == rp.to_json_list()
+        assert SIPoly.from_json_list(n, json.loads(json.dumps(obj))) == p
+        # equal polynomials built by different routes: a product, the
+        # product read back from JSON, and a sum whose degree bound (and so
+        # slot width) stays above the product's after cancellation
+        prod = p * q
+        back = SIPoly.from_json_list(n, json.loads(json.dumps(prod.to_json_list())))
+        high = SIPoly.term(n, (1 << 11,) + (0,) * n)
+        detour = (prod + high) - high
+        for other in (back, detour):
+            assert prod == other and other == prod
+            assert hash(prod) == hash(other)
+        assert (prod == prod + SIPoly.constant(n, 1)) is False
+
+    def test_exponent_filling_a_slot_does_not_carry(self):
+        a0 = SIPoly.variable(2, 0)
+        p = a0**31 * a0
+        assert p.sorted_terms() == [((32, 0, 0), 1)]
+        assert p == SIPoly.term(2, (32, 0, 0))
+        assert same(p, RefPoly(2, {(31, 0, 0): 1}) * RefPoly(2, {(1, 0, 0): 1}))
+        # a 32 in the 5-bit slots of a degree-31 polynomial would read as a_1
+        q = a0**31 + SIPoly.variable(2, 1)
+        assert q.coefficient((32, 0, 0)) == 0
+        assert q.coefficient((0, 1, 0)) == 1
+        assert q.coefficient((31, 0, 0)) == 1
+
+    def test_high_power_keeps_every_slot(self):
+        p = SIPoly.variable(2, 1) ** 1000
+        assert p.sorted_terms() == [((0, 1000, 0), 1)]
+        assert p.leading_nu() == (0, 1000, 0)
+        mixed = (SIPoly.variable(2, 0) + SIPoly.variable(2, 2)) ** 40
+        assert same(mixed, RefPoly(2, {(1, 0, 0): 1, (0, 0, 1): 1}) ** 40)
+
+    def test_pack_rejects_an_exponent_wider_than_its_slot(self):
+        assert _pack((31, 1), 5) == 31 + (1 << 5)
+        with pytest.raises(ValueError):
+            _pack((32, 0), 5)
+        with pytest.raises(ValueError):
+            _pack((0, -1), 5)

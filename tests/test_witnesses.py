@@ -1,10 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from semiinv.boxpartitions import delta
-from semiinv.cache import kernel_basis_cached
+from semiinv.cache import canonical_json_bytes, kernel_basis_cached
 from semiinv.cayley import apply_D, kernel_basis
 from semiinv.monomials import Monomial, SIPoly, leading_term
 from semiinv.witnesses import (
@@ -163,6 +164,26 @@ class TestStrictWitnesses:
             strict_witnesses(8, 10, 8, 20)  # m below n*r/2
         with pytest.raises(ValueError):
             strict_witnesses(8, 10, 8, 41)  # m above n*k/2
+
+
+class TestWitnessGoldens:
+    # sha256 of each family's canonical JSON, recorded with tuple-keyed,
+    # Fraction-valued SIPoly arithmetic
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda: nr8_witnesses(8, 8),
+             "dff7dd3330aa93f6ea0a281770f9e6c183d84a555ec01f0165b64e6c88f88d1a"),
+            (lambda: nr8_witnesses(9, 8),
+             "c9cf1cae3eeafbc8f087893d9aa9dd52e3d25871ea2572d7052bb1200a89592a"),
+            (lambda: strict_witnesses(8, 10, 8, 40),
+             "0a02357e38fb28230efcd514688062eac566cd4d9365ded59360c78a3f9dc3a4"),
+        ],
+        ids=["nr8-8-8", "nr8-9-8", "strict-8-10-8-40"],
+    )
+    def test_canonical_json_digest(self, build, digest):
+        data = canonical_json_bytes([w.to_json_list() for w in build()])
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestLemmaCombine:
