@@ -12,6 +12,15 @@ the package: partitions are emitted in descending anti-lexicographic
 monomial order, i.e. ascending lexicographic order of the reversed vector
 ``(nu_n, ..., nu_0)``.
 
+A stratum is walked once, as packed keys in the layout of
+:class:`~semiinv.monomials.SIPoly` at degree ``k`` (``nu_i`` in the ``i``-th
+slot of ``_width(k)`` bits), so ascending keys are the basis order and
+:mod:`semiinv.cayley` builds its matrices on the keys directly; exponent
+tuples are decoded from the keys.  The walk is depth-first and iterative
+over the part sizes ``n, n-1, ..., 3``, skips the sizes larger than the
+weight left, and emits the keys for the sizes 2, 1 and 0 as one arithmetic
+progression.
+
 Counting uses a two-dimensional recurrence over the box,
 
     p(k, n, m) = p(k, n-1, m) + p(k-1, n, m-n)
@@ -25,6 +34,8 @@ recursion.  Cells are exact big integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .monomials import _unpack, _width
 
 
 @dataclass(frozen=True)
@@ -124,38 +135,61 @@ def enumerate_partitions_in_box(k: int, n: int, m: int) -> list[BoxPartition]:
 
 def _multiplicity_vectors(k: int, n: int, m: int) -> list[tuple[int, ...]]:
     """The ``nu`` of :func:`enumerate_partitions_in_box`, in the same order."""
+    return list(_unpack(_stratum_keys(k, n, m), n, _width(k)))
+
+
+def _stratum_keys(k: int, n: int, m: int) -> list[int]:
+    """The partitions of ``m`` in the ``k x n`` box as ascending packed keys.
+
+    A key holds ``nu_i`` in bits ``[w*i, w*(i+1))`` with ``w = _width(k)``,
+    the layout of :class:`~semiinv.monomials.SIPoly` at degree ``k``, so
+    ascending keys are the basis order.
+    """
     if k < 0 or n < 0:
         raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
     if not 0 <= m <= n * k:
         raise ValueError(f"weight {m} outside [0, {n * k}]")
+    w = _width(k)
     if n == 0:
-        return [(k,)]
-    out: list[tuple[int, ...]] = []
-    # Depth-first over levels j = 0..n-1, which choose nu_i for i = n - j.
-    # chosen[j] is that choice; parts[j] and weight[j] are what the parts
-    # of size <= i still have to take.  Each level counts upward from its
-    # lowest feasible value: smaller parts carry at most (i-1) each, so
-    # weight - i*v <= (i-1)*(parts-v).
-    chosen = [0] * n  # nu_n, nu_{n-1}, ..., nu_1
-    parts = [k] + [0] * (n - 1)
-    weight = [m] + [0] * (n - 1)
+        return [k]
+    if n == 1:
+        return [(m << w) + k - m]
+    step = ((1 << w) - 1) ** 2
+    out: list[int] = []
+    # Depth-first over levels j = 0..n-2, which choose nu_i for i = n - j.
+    # chosen[j] is that choice; parts[j], weight[j] and prefix[j] are what
+    # the parts of size <= i still have to take and the key of the choices
+    # above, and up[j] is the level to back up to.  Each level counts
+    # upward from its lowest feasible value: smaller parts carry at most
+    # (i-1) each, so weight - i*v <= (i-1)*(parts-v).  Parts larger than
+    # the weight left cannot occur, so their levels are skipped.
+    chosen = [0] * (n - 1)
+    parts = [k] + [0] * (n - 2)
+    weight = [m] + [0] * (n - 2)
+    prefix = [0] * (n - 1)
+    up = [-1] * (n - 1)
     j = 0
     v = max(0, m - (n - 1) * k)
     while j >= 0:
         i = n - j
-        if v > parts[j] or i * v > weight[j]:
-            # level exhausted: back up and advance the level above
-            j -= 1
-            v = chosen[j] + 1
+        if i == 2:
+            # p parts of size <= 2 carry weight q: nu_2 = v runs over
+            # [max(0, q-p), min(p, q//2)] and forces nu_1 = q - 2v and
+            # nu_0 = p - q + v, so the keys step by (2^w - 1)^2
+            p, q = parts[j], weight[j]
+            base = prefix[j] + (q << w) + p - q
+            lo, hi = max(0, q - p), min(p, q // 2)
+            out.extend(range(base + lo * step, base + (hi + 1) * step, step))
+        elif v <= parts[j] and i * v <= weight[j]:
+            chosen[j] = v
+            p, q = parts[j] - v, weight[j] - i * v
+            nxt = n - min(i - 1, max(q, 2))
+            parts[nxt], weight[nxt], up[nxt] = p, q, j
+            prefix[nxt] = prefix[j] + (v << w * i)
+            j = nxt
+            v = max(0, q - (n - j - 1) * p)
             continue
-        chosen[j] = v
-        rest_parts, rest = parts[j] - v, weight[j] - i * v
-        if j + 1 < n:
-            j += 1
-            parts[j], weight[j] = rest_parts, rest
-            v = max(0, rest - (i - 2) * rest_parts)
-        else:
-            # at i == 1 the bound forces rest == 0; the parts left are zeros
-            out.append((rest_parts, *reversed(chosen)))
-            v += 1
+        # level done: back up and advance the level above
+        j = up[j]
+        v = chosen[j] + 1
     return out

@@ -12,20 +12,27 @@ the underlying form, checked directly by :func:`shear_check`) exactly when
 ``D`` annihilates it, so semi-invariant bases are nullspaces of the sparse
 integer matrices built here.
 
+The matrix is built on packed keys: the columns and rows are the strata of
+weights ``m`` and ``m-1`` walked as keys in the ``SIPoly`` layout at degree
+``k`` (see :mod:`semiinv.boxpartitions`), and the image of a column key
+lies at ``key + step_i``, the same rule :func:`apply_D` uses.
+
 The nullspace computation is exact and fraction-free.  Columns are taken
 in the fixed anti-lexicographic order; at each column the pivot is the row,
 among those still nonzero there, with the smallest ``(|entry|, row length,
 row index)``, which keeps fill-in and entry size down (a Markowitz-style
-choice).  The other rows are eliminated over the integers by
-cross-multiplication and each updated row is divided by the gcd of its
-entries.  The result does not depend on the pivot rows: column ``c`` is
-free exactly when it lies in the span of the columns before it, which row
-operations preserve, and the kernel vector with 1 at free column ``f`` and
-0 at the other free columns is unique.  Back substitution runs on plain
-integers with an implied common denominator, rescaling the entries found
-so far only when a pivot's reduced entry is not 1; each vector is then
-divided by its content and signed so that its leading coefficient is
-positive.  Bases are therefore reproducible bit-for-bit across runs.
+choice), and its sign is flipped so that its entry is positive.  The other
+rows are eliminated in place over the integers by cross-multiplication;
+a row is divided by the gcd of its entries only when it was multiplied by
+a factor other than 1.  The result does not depend on the pivot rows or
+their scaling: column ``c`` is free exactly when it lies in the span of
+the columns before it, which row operations preserve, and the kernel
+vector with 1 at free column ``f`` and 0 at the other free columns is
+unique.  Back substitution runs on plain integers with an implied common
+denominator, rescaling the entries found so far only when a pivot's
+reduced entry is not 1; each vector is then divided by its content,
+signed so that its leading coefficient is positive, and keyed by the
+column keys.  Bases are therefore reproducible bit-for-bit across runs.
 
 For weights up to half the maximum, the computed nullity must equal the
 partition-count difference ``delta(k, n, m)``; every kernel computation
@@ -40,7 +47,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Sequence
 
-from .boxpartitions import _multiplicity_vectors, delta
+from .boxpartitions import _multiplicity_vectors, _stratum_keys, delta
 from .monomials import Coeff, SIPoly, _nonzero, _width
 
 
@@ -53,15 +60,21 @@ def basis_exponents(n: int, k: int, m: int) -> list[tuple[int, ...]]:
     return _multiplicity_vectors(k, n, m)
 
 
+def _lowering_steps(n: int, w: int) -> list[tuple[int, int, int]]:
+    """``(i, w*i, step_i)`` for ``i = 1..n`` on keys of slot width ``w``.
+
+    Moving one unit of exponent from slot i to slot i-1 adds
+    ``step_i = (1 << w*(i-1)) - (1 << w*i)`` to a key.
+    """
+    return [(i, w * i, (1 << w * (i - 1)) - (1 << w * i)) for i in range(1, n + 1)]
+
+
 def apply_D(p: SIPoly) -> SIPoly:
     """Image of ``p`` under the lowering operator for its form degree."""
-    # D keeps the degree, so the image has the keys' slot width: moving one
-    # unit of exponent from slot i to slot i-1 adds (1 << w*(i-1)) - (1 << w*i)
+    # D keeps the degree, so the image has the keys' slot width
     w = _width(p._deg)
     mask = (1 << w) - 1
-    steps = [
-        (i, w * i, (1 << w * (i - 1)) - (1 << w * i)) for i in range(1, p.n + 1)
-    ]
+    steps = _lowering_steps(p.n, w)
     out: dict[int, Coeff] = {}
     get = out.get
     for key, c in p._terms.items():
@@ -80,13 +93,14 @@ class SparseIntMatrix:
     ``cols[j]`` maps row index to the nonzero entry in column ``j``.  Rows
     index the target stratum basis (weight ``m-1``), columns the source
     basis (weight ``m``), both in descending anti-lexicographic order;
-    ``col_exponents`` holds the exponent vectors of the source basis.
+    ``col_keys`` holds the source basis as packed keys in the
+    :class:`~semiinv.monomials.SIPoly` layout at degree ``k``.
     """
 
     nrows: int
     ncols: int
     cols: tuple[dict[int, int], ...]
-    col_exponents: tuple[tuple[int, ...], ...] = ()
+    col_keys: tuple[int, ...] = ()
 
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols)
@@ -101,29 +115,22 @@ def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
     """
     if not 1 <= m <= n * k:
         raise ValueError(f"weight {m} outside [1, {n * k}]")
-    col_basis = basis_exponents(n, k, m)
-    row_basis = basis_exponents(n, k, m - 1)
-    row_index = {nu: i for i, nu in enumerate(row_basis)}
+    col_keys = _stratum_keys(k, n, m)
+    row_index = {key: r for r, key in enumerate(_stratum_keys(k, n, m - 1))}
+    w = _width(k)
+    mask = (1 << w) - 1
+    steps = _lowering_steps(n, w)
     cols = []
-    for nu in col_basis:
+    for key in col_keys:
         col: dict[int, int] = {}
-        for i in range(1, n + 1):
-            if nu[i]:
-                mu = list(nu)
-                mu[i] -= 1
-                mu[i - 1] += 1
-                col[row_index[tuple(mu)]] = i * nu[i]
+        for i, shift, step in steps:
+            e = key >> shift & mask
+            if e:
+                col[row_index[key + step]] = i * e
         cols.append(col)
     return SparseIntMatrix(
-        len(row_basis), len(col_basis), tuple(cols), tuple(col_basis)
+        len(row_index), len(col_keys), tuple(cols), tuple(col_keys)
     )
-
-
-def _content_normalize(row: dict[int, int]) -> dict[int, int]:
-    g = gcd(*row.values())
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
 
 
 def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], list[int]]:
@@ -132,50 +139,69 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
     Returns ``(pivots, free_cols)`` where ``pivots`` is a list of
     ``(pivot_column, row)`` in ascending pivot-column order.  Rows are
     sparse dicts over column indices; each pivot row is zero before its
-    pivot column.  Among the rows still nonzero at a column, the pivot is
-    the one with the smallest ``(|entry|, row length, row index)``; entries
-    stay integral throughout and every update is gcd-normalized.
+    pivot column and positive at it.  Among the rows still nonzero at a
+    column, the pivot is the one with the smallest ``(|entry|, row length,
+    row index)``.  Entries stay integral throughout; a row is divided by
+    its content only after it was multiplied by a factor other than 1.
     """
     rows: list[dict[int, int]] = [{} for _ in range(mat.nrows)]
     for c, col in enumerate(mat.cols):
         for r, v in col.items():
             rows[r][c] = v
     # column -> rows not yet used as pivots that are nonzero there
-    incidence: list[set[int]] = [set() for _ in range(mat.ncols)]
-    for r, row in enumerate(rows):
-        for c in row:
-            incidence[c].add(r)
+    incidence = [set(col) for col in mat.cols]
     pivots: list[tuple[int, dict[int, int]]] = []
     free_cols: list[int] = []
-    for c in range(mat.ncols):
-        cand = incidence[c]
+    for c, cand in enumerate(incidence):
         if not cand:
             free_cols.append(c)
             continue
-        piv = min(cand, key=lambda r: (abs(rows[r][c]), len(rows[r]), r))
+        piv = -1
+        for r in cand:
+            row = rows[r]
+            e = row[c]
+            if e < 0:
+                e = -e
+            if piv < 0 or e < best or (
+                e == best and (len(row) < size or (len(row) == size and r < piv))
+            ):
+                piv, best, size = r, e, len(row)
         prow = rows[piv]
         for cc in prow:
             incidence[cc].discard(piv)
-        pivots.append((c, prow))
         a = prow[c]
-        for r in list(cand):
+        if a < 0:
+            a = -a
+            for cc in prow:
+                prow[cc] = -prow[cc]
+        pivots.append((c, prow))
+        # every candidate loses column c; only the pivot row's later columns
+        # can gain or lose an entry
+        rest = [(cc, v) for cc, v in prow.items() if cc != c]
+        for r in cand:
             row = rows[r]
-            b = row[c]
+            b = row.pop(c)
             g = gcd(a, b)
             fa, fb = a // g, b // g
-            new = row if fa == 1 else {cc: fa * v for cc, v in row.items()}
-            # only the pivot row's columns can gain or lose an entry
-            for cc, v in prow.items():
-                old = new.get(cc)
+            if fa != 1:
+                for cc in row:
+                    row[cc] *= fa
+            for cc, v in rest:
+                u = fb * v
+                old = row.get(cc)
                 if old is None:
-                    new[cc] = -fb * v
+                    row[cc] = -u
                     incidence[cc].add(r)
-                elif old == fb * v:
-                    del new[cc]
+                elif old == u:
+                    del row[cc]
                     incidence[cc].discard(r)
                 else:
-                    new[cc] = old - fb * v
-            rows[r] = _content_normalize(new)
+                    row[cc] = old - u
+            if fa != 1:
+                g = gcd(*row.values())
+                if g > 1:
+                    for cc in row:
+                        row[cc] //= g
     return pivots, free_cols
 
 
@@ -184,9 +210,9 @@ def _back_substitute(
 ) -> dict[int, int]:
     """Kernel vector with 1 at ``free_col`` and 0 at the other free columns.
 
-    The result is an integer multiple of that vector: ``x`` carries an
-    implied common denominator, and the earlier entries are rescaled only
-    when a pivot's reduced entry is not 1.
+    The result is a positive integer multiple of that vector: ``x`` carries
+    an implied common denominator, and the earlier entries are rescaled
+    only when a pivot's reduced entry is not 1 (pivot entries are positive).
     """
     x: dict[int, int] = {free_col: 1}
     get = x.get
@@ -200,8 +226,6 @@ def _back_substitute(
             continue
         a = row[c]
         g = gcd(a, s)
-        if a < 0:
-            g = -g
         a //= g
         if a != 1:
             for cc in x:
@@ -262,14 +286,17 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
         return KernelBasis(n, k, m, (SIPoly.term(n, nu, 1),))
     mat = build_D_matrix(n, k, m)
     pivots, free_cols = _echelon(mat)
-    col_basis = mat.col_exponents
+    keys = mat.col_keys
     vectors = []
     for f in free_cols:
-        x = _content_normalize(_back_substitute(pivots, f))
+        x = _back_substitute(pivots, f)
+        g = gcd(*x.values())
         # column 0 is the anti-lex greatest monomial, so the least column
         # holds the leading coefficient
-        sign = 1 if x[min(x)] > 0 else -1
-        vectors.append(SIPoly(n, {col_basis[c]: sign * x[c] for c in sorted(x)}))
+        if x[min(x)] < 0:
+            g = -g
+        terms = {keys[c]: x[c] // g for c in sorted(x)}
+        vectors.append(SIPoly._from_keys(n, k, terms))
     kb = KernelBasis(n, k, m, tuple(vectors))
     if 2 * m <= n * k:
         expected = delta(k, n, m)

@@ -96,6 +96,9 @@ def _emit_reports(reports, prefix: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag in ("nmax", "kmax", "rmax"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
     if args.suite == "sylvester":
         bad = sylvester_grid_mismatches(args.nmax, args.kmax)
         cells = sum(

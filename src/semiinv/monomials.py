@@ -228,12 +228,17 @@ class SIPoly:
         nu[i] = 1
         return cls(n, {tuple(nu): 1})
 
-    def _wrap(self, terms: dict[int, Coeff], deg: int | None = None) -> "SIPoly":
-        p = SIPoly.__new__(SIPoly)
-        p.n = self.n
-        p._deg = self._deg if deg is None else deg
+    @classmethod
+    def _from_keys(cls, n: int, deg: int, terms: dict[int, Coeff]) -> "SIPoly":
+        """Wrap nonzero ``terms`` keyed at width ``_width(deg)``, unchecked."""
+        p = cls.__new__(cls)
+        p.n = n
+        p._deg = deg
         p._terms = terms
         return p
+
+    def _wrap(self, terms: dict[int, Coeff], deg: int | None = None) -> "SIPoly":
+        return SIPoly._from_keys(self.n, self._deg if deg is None else deg, terms)
 
     def _at(self, w: int) -> dict[int, Coeff]:
         """Terms keyed at slot width ``w`` (at least this polynomial's)."""

@@ -22,7 +22,7 @@ from semiinv.cayley import (
     shear_check,
     shear_coefficients,
 )
-from semiinv.monomials import Monomial, SIPoly
+from semiinv.monomials import Monomial, SIPoly, _unpack, _width
 
 from helpers import I1_TERMS, I2_TERMS, dense_kernel, dense_rank
 
@@ -197,10 +197,17 @@ class TestEliminationOrder:
         m = data.draw(st.integers(1, n * k), label="m")
         mat = build_D_matrix(n, k, m)
         perm = data.draw(st.permutations(range(mat.nrows)), label="perm")
+        # negative scales reach sign-flipped pivots, and scales other than
+        # +-1 reach rows that are rescaled and then divided by their content
+        scale = data.draw(
+            st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                     min_size=mat.nrows, max_size=mat.nrows),
+            label="scale",
+        )
         shuffled = SparseIntMatrix(
             mat.nrows,
             mat.ncols,
-            tuple({perm[r]: v for r, v in col.items()} for col in mat.cols),
+            tuple({perm[r]: scale[r] * v for r, v in col.items()} for col in mat.cols),
         )
         pivots, free = _echelon(mat)
         pivots2, free2 = _echelon(shuffled)
@@ -216,12 +223,34 @@ class TestEliminationOrder:
         [
             ((8, 8, 32), "41188cf41ebf1f2d6b543ac7cd13f1ab2b2638201c9607866cd1b70965b5ad4c"),
             ((9, 7, 31), "d9f9b13ac4caf96ef125462a735081cdb6928f0646a78d2ce74d4691334f1e5f"),
+            ((10, 8, 40), "a9fa9c35e451514c76d2b300a5eeb66bdf9da500326a3323e9eaea2847bd1188"),
         ],
-        ids=["8-8-32", "9-7-31"],
+        ids=["8-8-32", "9-7-31", "10-8-40"],
     )
     def test_large_basis_golden(self, stratum, digest):
         data = canonical_json_bytes(kernel_basis(*stratum).to_json_obj())
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+class TestPackedKeys:
+    def test_col_keys_decode_to_the_basis(self):
+        for n in range(1, 6):
+            for k in range(1, 6):
+                for m in range(1, n * k + 1):
+                    mat = build_D_matrix(n, k, m)
+                    decoded = list(_unpack(mat.col_keys, n, _width(k)))
+                    assert decoded == basis_exponents(n, k, m), (n, k, m)
+
+    def test_kernel_vectors_match_checked_construction(self):
+        for n in range(6):
+            for k in range(6):
+                for m in range(n * k + 1):
+                    for v in kernel_basis(n, k, m).vectors:
+                        rebuilt = SIPoly(n, dict(v.items()))
+                        assert v == rebuilt and rebuilt == v, (n, k, m)
+                        assert hash(v) == hash(rebuilt), (n, k, m)
+                        assert v._terms == rebuilt._terms, (n, k, m)
+                        assert v._deg == rebuilt._deg, (n, k, m)
 
 
 class TestDimension:

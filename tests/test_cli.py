@@ -264,6 +264,16 @@ class TestVerifyCommand:
         assert "all base cells have delta >= 2" in out
         assert "n=15 r=14 delta=1111" in out
 
+    @pytest.mark.parametrize("suite", ["sylvester", "F", "G"])
+    @pytest.mark.parametrize("flag", ["--nmax", "--kmax", "--rmax"])
+    def test_negative_bound_rejected(self, capsys, tmp_path, suite, flag):
+        prefix = str(tmp_path / "x")
+        code, out, err = run_cli(capsys, "verify", suite, flag, "-2", "--out", prefix)
+        assert code == 2
+        assert flag in err
+        assert out == ""
+        assert not (tmp_path / "x.jsonl").exists()
+
 
 class TestScanCommand:
     def test_bergeron_scan_files(self, capsys, tmp_path, monkeypatch):
