@@ -1,0 +1,66 @@
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_file", ROOT / "tools" / "bench_file.py")
+bench_file = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_file)
+
+MACHINE = {"python": "3.11.7", "cpu_count": 2, "cpu_model": "cpu", "git_commit": "abc"}
+
+
+def write_run(results, seed, solve_s, written, failed=0):
+    metrics = {m: {"median": 1.0} for m in bench_file.BETTER}
+    metrics["solve_s"] = {"median": solve_s}
+    run = {
+        "workload": "kernels-cold", "seed": seed, "seconds": 30.0, "smoke": False,
+        "machine": MACHINE, "failed": failed, "problems": [], "metrics": metrics,
+    }
+    path = results / f"kernels-cold-seed{seed}-trace0.json"
+    path.write_text(json.dumps(run))
+    os.utime(path, (written, written))
+
+
+@pytest.fixture
+def sides(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    for i, (p, c) in enumerate([(0.50, 0.35), (0.52, 0.36), (0.51, 0.53)]):
+        # alternate which side's run was written first
+        write_run(parent, i, p, 100 * i + (1 if i % 2 else 0), failed=int(i == 2))
+        write_run(change, i, c, 100 * i + (0 if i % 2 else 1))
+    return parent, change
+
+
+def test_pairs_medians_and_wins(sides):
+    out = bench_file.summarise(*map(bench_file.load_runs, sides), None)
+    entry = out["workloads"]["kernels-cold"]
+    assert entry["seeds"] == [0, 1, 2]
+    assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "parent"]
+    assert [p["correct"] for p in entry["pairs"]] == [True, True, False]
+    assert entry["parent"]["solve_s"]["median"] == 0.51
+    assert entry["change"]["solve_s"]["median"] == 0.36
+    assert entry["change_wins"]["solve_s"] == 2
+    assert entry["change_wins"]["setup_s"] == 0  # ties count for neither side
+    assert out["parent"]["commit"] == "abc"
+
+
+def test_claim_needs_nine_wins_in_ten(sides):
+    out = bench_file.summarise(*map(bench_file.load_runs, sides), ("kernels-cold", "solve_s"))
+    assert out["claim"]["change_wins"] == 2
+    assert out["claim"]["met"] is False
+
+
+def test_traced_runs_keep_per_layer_medians_only(sides):
+    for side in sides:
+        run = {"workload": "kernels-cold", "seed": 2, "smoke": False, "metrics": {
+            "solve_s": {"median": 0.5}, "cayley.matrix.nnz": {"median": 42967}}}
+        (side / "kernels-cold-seed2-trace1.json").write_text(json.dumps(run))
+    out = bench_file.traced(*(bench_file.load_runs(s, trace=1) for s in sides))
+    assert out == {"kernels-cold-seed2": {"parent": {"cayley.matrix.nnz": 42967},
+                                          "change": {"cayley.matrix.nnz": 42967}}}
