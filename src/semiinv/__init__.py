@@ -44,7 +44,7 @@ from .differences import (
     write_csv,
     write_jsonl,
 )
-from .monomials import Monomial, SIPoly, antilex_compare, leading_term
+from .monomials import Monomial, SIPoly
 from .qpoly import (
     NonnegativityViolation,
     QPoly,
@@ -83,7 +83,6 @@ __all__ = [
     "SparseIntMatrix",
     "SylvesterMismatchError",
     "VerificationError",
-    "antilex_compare",
     "apply_D",
     "base_grid_deltas",
     "basis_exponents",
@@ -101,7 +100,6 @@ __all__ = [
     "is_unimodal",
     "kernel_basis",
     "kernel_basis_cached",
-    "leading_term",
     "lemma_combine",
     "nr8_witnesses",
     "scan_bergeron",

@@ -33,6 +33,8 @@ from .qpoly import gauss
 from .witnesses import base_grid_deltas, triangulate
 
 DEFAULT_CACHE_DIR = ".semiinv-cache"
+# grid bounds of the sylvester, F and G suites; nr8 has a fixed grid
+VERIFY_GRID = {"nmax": 6, "kmax": 6, "rmax": 10}
 
 
 def _info(msg: str) -> None:
@@ -96,9 +98,16 @@ def _emit_reports(reports, prefix: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    for flag in ("nmax", "kmax", "rmax"):
-        if getattr(args, flag) < 0:
-            raise ValueError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
+    given = [flag for flag in VERIFY_GRID if getattr(args, flag) is not None]
+    if args.suite == "nr8" and given:
+        flags = ", ".join(f"--{flag}" for flag in given)
+        raise ValueError(f"nr8 checks the fixed base grid 8 <= n, r < 16; {flags} not allowed")
+    for flag, default in VERIFY_GRID.items():
+        value = getattr(args, flag)
+        if value is None:
+            setattr(args, flag, default)
+        elif value < 0:
+            raise ValueError(f"--{flag} must be nonnegative, got {value}")
     if args.suite == "sylvester":
         bad = sylvester_grid_mismatches(args.nmax, args.kmax)
         cells = sum(
@@ -190,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Run a verification suite")
     p.add_argument("suite", choices=["sylvester", "F", "G", "nr8"])
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--rmax", type=int, default=10)
+    for flag, default in VERIFY_GRID.items():
+        p.add_argument(f"--{flag}", type=int, default=None,
+                       help=f"not for nr8 (default: {default})")
     p.add_argument("--with-kernel", action="store_true",
                    help="nr8 only: also compute the kernel nullity at (8,8,32)")
     p.add_argument("--out", default=None, help="report file prefix (F and G suites)")

@@ -106,16 +106,6 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-def antilex_compare(m1: Monomial, m2: Monomial) -> int:
-    """-1, 0 or 1 as ``m1`` is less than, equal to, or greater than ``m2``."""
-    m1._check_same_n(m2)
-    k1, k2 = m1.nu[::-1], m2.nu[::-1]
-    if k1 == k2:
-        return 0
-    # smaller reversed vector means greater monomial
-    return 1 if k1 < k2 else -1
-
-
 Coeff = Fraction | int
 
 
@@ -443,7 +433,3 @@ class SIPoly:
             terms[tuple(t["nu"])] = num if den == 1 else Fraction(num, den)
         return cls(n, terms)
 
-
-def leading_term(p: SIPoly) -> Monomial:
-    """Greatest monomial of ``p`` with a nonzero coefficient (``p`` nonzero)."""
-    return p.leading_monomial()

@@ -5,24 +5,26 @@ A polynomial is stored densely: index ``i`` of :attr:`QPoly.coeffs` holds the
 stores a trailing zero, so the zero polynomial stores nothing at all and has
 degree ``-inf``.
 
-The Gaussian coefficient ``gauss(a, b)`` is built by the q-Pascal recurrence
+The Gaussian coefficient ``gauss(a, b)`` is built by the product formula.
+With ``j = min(b, a - b)`` and ``c = a - j`` it is the last link of the chain
 
-    gauss(a, b) == gauss(a-1, b-1) + q**b * gauss(a-1, b)
+    gauss(c+i, i) == gauss(c+i-1, i-1) * (1 - q**(c+i)) / (1 - q**i)
 
-so integrality of every coefficient holds by construction; no polynomial
-division ever happens.  Coefficient ``m`` of ``gauss(n+k, k)`` counts
-partitions of ``m`` inside a ``k x n`` box, which is what makes these
-polynomials symmetric and unimodal and is cross-checked against the
-independent counter in :mod:`semiinv.boxpartitions`.
+for ``i = 1..j``.  Each division by ``1 - q**i`` is a stride-``i`` running
+sum on ints, and it is checked to be exact: every coefficient past the
+quotient's degree must come out 0, or the step raises.  Coefficient ``m`` of
+``gauss(n+k, k)`` counts partitions of ``m`` inside a ``k x n`` box, which
+is what makes these polynomials symmetric and unimodal.  The counter in
+:mod:`semiinv.boxpartitions` uses a different recurrence, so comparing the
+two is an independent cross-check.
 
-One q-Pascal table, keyed by ``(a', j)`` and holding plain coefficient
-tuples, is shared by every call: ``gauss(a, b)`` computes only the entries
-of its sweep that earlier calls have not stored, and wraps the result in a
-:class:`QPoly` on the way out.  The table's budget is a fixed number of
-stored coefficients; a sweep that pushes it past the budget clears it down
-to the row in hand, so a single huge call stays near the memory of a sweep
-without a table.  Entries are exact and are only ever dropped, never
-altered, so results never depend on call order or eviction.
+One memo, keyed by ``(c, i)`` and holding plain coefficient tuples, is
+shared by every call: ``gauss(a, b)`` walks down from ``j`` to the highest
+link of its chain already stored, extends the chain from there, and wraps
+the result in a :class:`QPoly` on the way out.  The memo's budget is a fixed
+number of stored coefficients; a step that pushes it past the budget clears
+it down to the entry in hand.  Entries are exact and are only ever dropped,
+never altered, so results never depend on call order or eviction.
 
 The unimodality predicates operate on coefficient sequences.  A sequence is
 unimodal if it rises weakly and then falls weakly.  The strict variant used
@@ -37,6 +39,7 @@ impossible).
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator
 
 NEG_INF = float("-inf")
@@ -177,72 +180,35 @@ class QPoly:
         return cls(int(c) for c in obj["coeffs"])
 
 
-# The shared q-Pascal table: (a', j) -> coefficients of gauss(a', j).  Every
-# gauss() call reads it and fills in what its sweep is missing.  _PASCAL_SIZE
-# is the number of coefficients stored; once a sweep pushes it past
-# _PASCAL_BUDGET the table is cleared down to the row just computed.
-_PASCAL: dict[tuple[int, int], tuple[int, ...]] = {}
-_PASCAL_SIZE = 0
-_PASCAL_BUDGET = 1 << 18
+# The product-chain memo: (c, i) -> coefficients of gauss(c + i, i).  Every
+# gauss() call reads it and extends the chain of its own c.  _MEMO_SIZE is
+# the number of coefficients stored; once a step pushes it past _MEMO_BUDGET
+# the memo is cleared down to the entry just computed.
+_MEMO: dict[tuple[int, int], tuple[int, ...]] = {}
+_MEMO_SIZE = 0
+_MEMO_BUDGET = 1 << 18
 
 
-def _pascal_row(ap: int, lo: int, hi: int) -> list[tuple[int, ...]] | None:
-    """Row ``ap`` of the table for ``lo <= j <= hi``, or None if incomplete."""
-    row = []
-    for j in range(lo, hi + 1):
-        coeffs = _PASCAL.get((ap, j))
-        if coeffs is None:
-            return None
-        row.append(coeffs)
-    return row
+def _chain_step(prev: tuple[int, ...], c: int, i: int) -> tuple[int, ...]:
+    """Coefficients of ``prev * (1 - q**(c+i)) / (1 - q**i)``.
 
-
-def _pascal_fill(a: int, b: int) -> tuple[int, ...]:
-    """Coefficients of ``gauss(a, b)``, filling the table as needed.
-
-    With ``c = a - b`` the sweep covers the rectangle ``j <= b``,
-    ``ap - j <= c``: row ``ap`` holds ``gauss(ap, j)`` for
-    ``max(0, ap - c) <= j <= min(ap, b)`` and needs only row ``ap - 1`` of
-    the same rectangle; row ``a`` is ``gauss(a, b)`` alone.  It starts just
-    above the highest row already complete in the table and computes only
-    the entries that are missing.
+    With ``prev = gauss(c+i-1, i-1)`` this is ``gauss(c+i, i)``.  The
+    division is a stride-``i`` running sum, which yields the power series
+    quotient; the division is exact only if every coefficient past the
+    quotient's degree ``deg(prev) + c`` comes out 0, and anything else
+    raises ``ArithmeticError`` rather than being cut off.
     """
-    global _PASCAL_SIZE
-    c = a - b
-    start, prev = -1, []
-    for ap in range(a - 1, -1, -1):
-        row = _pascal_row(ap, max(0, ap - c), min(ap, b))
-        if row is not None:
-            start, prev = ap, row
-            break
-    for ap in range(start + 1, a + 1):
-        lo, hi = max(0, ap - c), min(ap, b)
-        plo = max(0, ap - 1 - c)
-        row = []
-        added = 0
-        for j in range(lo, hi + 1):
-            coeffs = _PASCAL.get((ap, j))
-            if coeffs is None:
-                if j == 0 or j == ap:
-                    coeffs = (1,)
-                else:
-                    # gauss(ap-1, j-1) + q**j * gauss(ap-1, j)
-                    left, right = prev[j - 1 - plo], prev[j - plo]
-                    coeffs = (
-                        left[:j]
-                        + tuple(map(int.__add__, left[j:], right))
-                        + right[len(left) - j:]
-                    )
-                _PASCAL[ap, j] = coeffs
-                added += len(coeffs)
-            row.append(coeffs)
-        _PASCAL_SIZE += added
-        if _PASCAL_SIZE > _PASCAL_BUDGET:
-            _PASCAL.clear()
-            _PASCAL.update(((ap, j), coeffs) for j, coeffs in enumerate(row, lo))
-            _PASCAL_SIZE = sum(map(len, row))
-        prev = row
-    return prev[0]
+    s = c + i
+    out = list(prev) + [0] * s
+    out[s:] = map(operator.sub, out[s:], prev)
+    for r in range(i):
+        out[r::i] = itertools.accumulate(out[r::i])
+    d = len(prev) - 1 + c
+    if any(out[d + 1:]):
+        raise ArithmeticError(
+            f"(1 - q^{i}) does not divide the step to gauss({s}, {i})"
+        )
+    return tuple(out[: d + 1])
 
 
 def gauss(a: int, b: int) -> QPoly:
@@ -257,13 +223,27 @@ def gauss(a: int, b: int) -> QPoly:
     >>> print(gauss(5, 0))
     1
     """
+    global _MEMO_SIZE
     if a < 0 or b < 0:
         raise ValueError(f"gauss({a},{b}): arguments must be nonnegative")
     if b > a:
         raise ValueError(f"gauss({a},{b}): lower index exceeds upper index")
-    coeffs = _PASCAL.get((a, b))
+    j = min(b, a - b)
+    c = a - j
+    coeffs = _MEMO.get((c, j)) if j else (1,)
     if coeffs is None:
-        coeffs = _pascal_fill(a, b)
+        i = j - 1
+        while i and (c, i) not in _MEMO:
+            i -= 1
+        coeffs = _MEMO[c, i] if i else (1,)
+        for i in range(i + 1, j + 1):
+            coeffs = _chain_step(coeffs, c, i)
+            _MEMO[c, i] = coeffs
+            _MEMO_SIZE += len(coeffs)
+            if _MEMO_SIZE > _MEMO_BUDGET:
+                _MEMO.clear()
+                _MEMO[c, i] = coeffs
+                _MEMO_SIZE = len(coeffs)
     return QPoly(coeffs)
 
 

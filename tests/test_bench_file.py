@@ -64,3 +64,30 @@ def test_traced_runs_keep_per_layer_medians_only(sides):
     out = bench_file.traced(*(bench_file.load_runs(s, trace=1) for s in sides))
     assert out == {"kernels-cold-seed2": {"parent": {"cayley.matrix.nnz": 42967},
                                           "change": {"cayley.matrix.nnz": 42967}}}
+
+
+def test_no_regression_flagged_within_bounds(sides):
+    out = bench_file.summarise(*map(bench_file.load_runs, sides), None)
+    reg = out["regressions"]
+    assert reg["flagged"] == []
+    entry = reg["workloads"]["kernels-cold"]
+    assert set(entry) == set(bench_file.BETTER)
+    assert entry["solve_s"]["worse_by"] < 0  # the change is faster
+    assert entry["setup_s"] == {"worse_by": 0.0, "bound": bench_file.BOUND["setup_s"],
+                                "flagged": False}
+
+
+@pytest.mark.parametrize("change_s, flagged", [(0.54, False), (0.56, True)])
+def test_regression_beyond_bound_flagged(tmp_path, change_s, flagged):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    for i in range(3):
+        write_run(parent, i, 0.50, 2 * i)
+        write_run(change, i, change_s, 2 * i + 1)
+    out = bench_file.summarise(bench_file.load_runs(parent), bench_file.load_runs(change), None)
+    entry = out["regressions"]["workloads"]["kernels-cold"]["solve_s"]
+    assert bench_file.BOUND["solve_s"] == 0.1
+    assert entry["worse_by"] == pytest.approx(change_s / 0.50 - 1)
+    assert entry["flagged"] is flagged
+    assert out["regressions"]["flagged"] == (["kernels-cold:solve_s"] if flagged else [])

@@ -274,6 +274,27 @@ class TestVerifyCommand:
         assert out == ""
         assert not (tmp_path / "x.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--nmax", "3"], ["--kmax", "2"], ["--rmax", "10"], ["--nmax", "3", "--kmax", "2"]],
+    )
+    def test_nr8_rejects_grid_flags(self, capsys, flags):
+        code, out, err = run_cli(capsys, "verify", "nr8", *flags)
+        assert code == 2
+        assert out == ""
+        assert all(flag in err for flag in flags[::2])
+
+    @pytest.mark.parametrize(
+        "suite, defaults",
+        [
+            ("sylvester", ["--nmax", "6", "--kmax", "6"]),
+            ("F", ["--nmax", "6", "--kmax", "6"]),
+            ("G", ["--nmax", "6", "--kmax", "6", "--rmax", "10"]),
+        ],
+    )
+    def test_grid_defaults(self, capsys, suite, defaults):
+        assert run_cli(capsys, "verify", suite) == run_cli(capsys, "verify", suite, *defaults)
+
 
 class TestScanCommand:
     def test_bergeron_scan_files(self, capsys, tmp_path, monkeypatch):

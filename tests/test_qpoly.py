@@ -131,33 +131,26 @@ class TestGauss:
 
 
 def _fresh_table(mp: pytest.MonkeyPatch) -> None:
-    # an empty shared table for this test; the original comes back afterwards
-    mp.setattr(qpoly, "_PASCAL", {})
-    mp.setattr(qpoly, "_PASCAL_SIZE", 0)
+    # an empty shared memo for this test; the original comes back afterwards
+    mp.setattr(qpoly, "_MEMO", {})
+    mp.setattr(qpoly, "_MEMO_SIZE", 0)
 
 
 def _stored() -> int:
-    """Coefficients in the table, after checking the size and every entry."""
-    for (ap, j), coeffs in qpoly._PASCAL.items():
-        assert coeffs == tuple(_box_counts(j, ap - j)), (ap, j)
-    assert qpoly._PASCAL_SIZE == sum(map(len, qpoly._PASCAL.values()))
-    return qpoly._PASCAL_SIZE
+    """Coefficients in the memo, after checking the size and every entry."""
+    for (c, i), coeffs in qpoly._MEMO.items():
+        assert coeffs == tuple(_box_counts(i, c)), (c, i)
+    assert qpoly._MEMO_SIZE == sum(map(len, qpoly._MEMO.values()))
+    return qpoly._MEMO_SIZE
 
 
 def _box_counts(k: int, n: int) -> list[int]:
     return [count_partitions_in_box(k, n, m) for m in range(k * n + 1)]
 
 
-def _largest_row(a: int, b: int) -> int:
-    """Coefficients in the largest row of the sweep for ``gauss(a, b)``."""
-    c = a - b
-    return max(
-        sum(j * (ap - j) + 1 for j in range(max(0, ap - c), min(ap, b) + 1))
-        for ap in range(a + 1)
-    )
-
-
 class TestPascalTable:
+    """The product chain and its memo, checked against the box counts."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -167,12 +160,12 @@ class TestPascalTable:
             min_size=1,
             max_size=8,
         ),
-        st.sampled_from([0, 30, 700, qpoly._PASCAL_BUDGET]),
+        st.sampled_from([0, 30, 700, qpoly._MEMO_BUDGET]),
     )
     def test_any_call_order_matches_box_counts(self, calls, budget):
         with pytest.MonkeyPatch.context() as mp:
             _fresh_table(mp)
-            mp.setattr(qpoly, "_PASCAL_BUDGET", budget)
+            mp.setattr(qpoly, "_MEMO_BUDGET", budget)
             for a, b in calls:
                 assert list(gauss(a, b)) == _box_counts(b, a - b), (a, b)
                 _stored()
@@ -181,16 +174,36 @@ class TestPascalTable:
         calls = [(40, 20), (12, 5), (41, 20), (30, 29), (45, 3), (40, 20), (0, 0)]
         _fresh_table(monkeypatch)
         expected = [gauss(a, b) for a, b in calls]
-        assert _stored() <= qpoly._PASCAL_BUDGET
+        assert _stored() <= qpoly._MEMO_BUDGET
 
         _fresh_table(monkeypatch)
-        monkeypatch.setattr(qpoly, "_PASCAL_BUDGET", 50)
-        row = 0
+        monkeypatch.setattr(qpoly, "_MEMO_BUDGET", 50)
+        largest = 0
         for (a, b), want in zip(calls, expected):
             assert gauss(a, b) == want
-            row = max(row, _largest_row(a, b))
-            assert _stored() <= 50 + row, (a, b)
-            assert (a, b) in qpoly._PASCAL
+            j = min(b, a - b)
+            # the largest entry stored is the last link of a chain
+            largest = max(largest, j * (a - j) + 1)
+            assert _stored() <= 50 + largest, (a, b)
+            assert j == 0 or (a - j, j) in qpoly._MEMO
+
+    def test_large_call_under_default_budget(self, monkeypatch):
+        _fresh_table(monkeypatch)
+        p = gauss(200, 100)
+        assert sum(p) == math.comb(200, 100)
+        assert p.degree == 100 * 100
+        assert is_symmetric(p)
+        # the chain outgrows the budget, so the memo was cleared on the way
+        assert (100, 1) not in qpoly._MEMO
+        assert qpoly._MEMO[100, 100] == p.coeffs
+        assert _stored() <= qpoly._MEMO_BUDGET + len(p)
+
+    def test_step_rejects_inexact_division(self):
+        # (1 - q^3) / (1 - q^2) leaves a remainder
+        with pytest.raises(ArithmeticError):
+            qpoly._chain_step((1,), 1, 2)
+        # (1 + q) (1 - q^3) is divisible by 1 - q^2
+        assert qpoly._chain_step((1, 1), 1, 2) == (1, 1, 1)
 
     def test_independent_of_box_counts(self, monkeypatch):
         want = gauss(30, 15)

@@ -7,7 +7,7 @@ import pytest
 from semiinv.boxpartitions import delta
 from semiinv.cache import canonical_json_bytes, kernel_basis_cached
 from semiinv.cayley import apply_D, kernel_basis
-from semiinv.monomials import Monomial, SIPoly, leading_term
+from semiinv.monomials import Monomial, SIPoly
 from semiinv.witnesses import (
     DependenceError,
     base_grid_deltas,
@@ -24,7 +24,7 @@ from helpers import I1_TERMS, I2_TERMS, dense_rank
 class TestTriangulate:
     def test_worked_cell_leading_terms(self):
         tri = triangulate(kernel_basis(4, 4, 6).vectors)
-        assert [leading_term(v) for v in tri] == [
+        assert [v.leading_monomial() for v in tri] == [
             Monomial((0, 2, 2, 0, 0)),
             Monomial((1, 0, 3, 0, 0)),
         ]
@@ -37,7 +37,7 @@ class TestTriangulate:
     def test_strictly_decreasing_leads(self):
         kb = kernel_basis(6, 4, 8)
         tri = triangulate(kb.vectors)
-        leads = [leading_term(v) for v in tri]
+        leads = [v.leading_monomial() for v in tri]
         assert all(a > b for a, b in zip(leads, leads[1:]))
 
     def test_span_preserved_under_random_recombination(self):
@@ -86,7 +86,7 @@ class TestNr8Witnesses:
         for w in (j1, j2):
             assert w.bidegree() == (8, 32)
             assert apply_D(w).is_zero()
-        assert leading_term(j1) > leading_term(j2)
+        assert j1.leading_monomial() > j2.leading_monomial()
         assert independence_check([j1, j2])
 
     def test_reduction_cell_8_24(self):
@@ -95,7 +95,7 @@ class TestNr8Witnesses:
         for w in (j1, j2):
             assert w.bidegree() == (24, 96)
             assert apply_D(w).is_zero()
-        assert leading_term(j1) > leading_term(j2)
+        assert j1.leading_monomial() > j2.leading_monomial()
         assert independence_check([j1, j2])
 
     def test_odd_n_cell_9_8(self):
@@ -129,7 +129,7 @@ class TestStrictWitnesses:
             assert w.bidegree() == (10, 40)
             assert apply_D(w).is_zero()
         assert independence_check(ws)
-        leads = [leading_term(w) for w in ws]
+        leads = [w.leading_monomial() for w in ws]
         assert len(set(leads)) == len(leads)
 
     def test_gap_zero_cell_returns_single_kernel_vector(self):
@@ -202,7 +202,7 @@ class TestLemmaCombine:
             assert w.bidegree() == (8, 12)
             assert apply_D(w).is_zero()
         assert dense_rank(out) == 3
-        leads = [leading_term(w) for w in out]
+        leads = [w.leading_monomial() for w in out]
         assert len(set(leads)) == 3
         assert all(a > b for a, b in zip(leads, leads[1:]))
 

@@ -15,7 +15,11 @@ over the runs' medians.  Each pair records both sides' run medians and
 which side ran first; ``change_wins`` counts the pairs where the change
 reads better.  The claim block applies the usual rule: the change wins at
 least nine in ten pairs, and the gap between the medians exceeds the
-parent's interquartile range.  A traced run (``--trace 1``) made on both
+parent's interquartile range.  The regressions block applies the
+no-claim rule to every workload and end-to-end metric: it flags a change
+median that reads worse than the parent's by more than the metric's
+``bound`` in ``BENCHMARK.json`` (a fraction of the parent's median), and the
+tool exits 1 when anything is flagged.  A traced run (``--trace 1``) made on both
 sides with the same workload and seed adds its per-layer medians under
 ``traced``.
 """
@@ -29,11 +33,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 # end-to-end metric -> "lower" or "higher", whichever is better
-BETTER = {
-    m["name"]: m["better"]
-    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-}
+BETTER = {m["name"]: m["better"] for m in END_TO_END}
+# end-to-end metric -> how much worse, as a fraction of the parent's median,
+# the change may read before it counts as a regression
+BOUND = {m["name"]: m["bound"] for m in END_TO_END}
 
 
 def gain(parent: float, change: float, metric: str) -> float:
@@ -103,6 +108,7 @@ def summarise(parent: dict, change: dict, claim: tuple[str, str] | None) -> dict
                 gain(pr["parent"][m], pr["change"][m], m) > 0 for pr in pairs
             )
         out["workloads"][workload] = entry
+    out["regressions"] = regressions(out["workloads"])
     if claim:
         workload, metric = claim
         entry = out["workloads"][workload]
@@ -119,6 +125,21 @@ def summarise(parent: dict, change: dict, claim: tuple[str, str] | None) -> dict
             and gain(p["median"], c["median"], metric) > p["q3"] - p["q1"],
         }
     return out
+
+
+def regressions(workloads: dict) -> dict:
+    """Each workload's end-to-end metrics, flagged if worse beyond the bound."""
+    checked, flagged = {}, []
+    for workload, entry in workloads.items():
+        checked[workload] = {}
+        for m in BETTER:
+            p, c = entry["parent"][m]["median"], entry["change"][m]["median"]
+            worse = -gain(p, c, m) / p
+            checked[workload][m] = {"worse_by": worse, "bound": BOUND[m],
+                                    "flagged": worse > BOUND[m]}
+            if worse > BOUND[m]:
+                flagged.append(f"{workload}:{m}")
+    return {"workloads": checked, "flagged": flagged}
 
 
 def traced(parent: dict, change: dict) -> dict:
@@ -151,7 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {path.name}", file=sys.stderr)
-    return 0
+    for name in bench["regressions"]["flagged"]:
+        print(f"regression: {name} worse than the parent beyond its bound", file=sys.stderr)
+    return 1 if bench["regressions"]["flagged"] else 0
 
 
 if __name__ == "__main__":
