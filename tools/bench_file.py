@@ -18,10 +18,10 @@ least nine in ten pairs, and the gap between the medians exceeds the
 parent's interquartile range.  The regressions block applies the
 no-claim rule to every workload and end-to-end metric: it flags a change
 median that reads worse than the parent's by more than the metric's
-``bound`` in ``BENCHMARK.json`` (a fraction of the parent's median), and the
-tool exits 1 when anything is flagged.  A traced run (``--trace 1``) made on both
-sides with the same workload and seed adds its per-layer medians under
-``traced``.
+``bound`` in ``BENCHMARK.json`` (a fraction of the parent's median), and
+the tool exits 1 when anything is flagged.  A traced run (``--trace 1``)
+made on both sides with the same workload and seed adds its per-layer
+medians under ``traced``.
 """
 
 from __future__ import annotations
