@@ -27,12 +27,21 @@ Counting uses a two-dimensional recurrence over the box,
 
 (split on whether some part equals ``n``), memoized per ``(k, n)`` with
 the whole weight vector stored, since delta scans reuse the same boxes
-heavily.  The memo is filled iteratively, so a box of any shape needs no
-recursion.  Cells are exact big integers.
+heavily.  Each vector is one slice addition of the shorter box's vector,
+shifted by ``n``, onto the narrower box's, and :func:`delta` reads one
+vector once.  The memo is filled iteratively, row by row (``k`` fixed,
+``n`` rising), from the highest row already complete, so a box of any
+shape needs no recursion and the box one row up costs one row.  Its budget
+is a fixed number of stored coefficients: once a finished row leaves the
+memo past it, everything is dropped but that row, which is all the next row
+reads, and the requested column ``(k', n)``, ``k' < k``.  Cells are exact
+big integers, and the memo never reads :mod:`semiinv.qpoly`, so the two
+stay an independent cross-check.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .monomials import _unpack, _width
@@ -76,32 +85,53 @@ class BoxPartition:
         return tuple(out)
 
 
+# (k, n) -> p(k, n, m) for m = 0..n*k.  _COUNT_SIZE is the number of
+# coefficients stored; once a finished row of a fill leaves it past
+# _COUNT_BUDGET, everything but that row and the requested column is dropped.
 _COUNT_TABLES: dict[tuple[int, int], tuple[int, ...]] = {}
+_COUNT_SIZE = 0
+_COUNT_BUDGET = 1 << 20
 
 
 def _count_table(k: int, n: int) -> tuple[int, ...]:
     """Vector of p(k, n, m) for m = 0..n*k."""
+    global _COUNT_SIZE
     table = _COUNT_TABLES.get((k, n))
     if table is not None:
         return table
     # (k, n) needs (k, n-1) and (k-1, n): fill the missing boxes of the
-    # (k+1) x (n+1) grid column by column, each column from k' = 0 upward.
-    for nn in range(n + 1):
-        for kk in range(k + 1):
+    # (k+1) x (n+1) grid row by row, each row from n' = 0 upward, starting
+    # at the highest row below k already complete up to n (row 0 is all ones).
+    k0 = next(
+        (
+            kk
+            for kk in range(k - 1, 0, -1)
+            if all((kk, nn) in _COUNT_TABLES for nn in range(n, -1, -1))
+        ),
+        0,
+    )
+    for kk in range(k0, k + 1):
+        for nn in range(n + 1):
             if (kk, nn) in _COUNT_TABLES:
                 continue
             if kk == 0 or nn == 0:
-                _COUNT_TABLES[kk, nn] = (1,)
-                continue
-            narrower = _COUNT_TABLES[kk, nn - 1]
-            shorter = _COUNT_TABLES[kk - 1, nn]
-            out = []
-            for m in range(nn * kk + 1):
-                v = narrower[m] if m < len(narrower) else 0
-                if m >= nn:
-                    v += shorter[m - nn]
-                out.append(v)
-            _COUNT_TABLES[kk, nn] = tuple(out)
+                table = (1,)
+            else:
+                # p(kk, nn, m) = p(kk, nn-1, m) + p(kk-1, nn, m-nn)
+                out = [*_COUNT_TABLES[kk, nn - 1], *(0,) * kk]
+                out[nn:] = map(operator.add, out[nn:], _COUNT_TABLES[kk - 1, nn])
+                table = tuple(out)
+            _COUNT_TABLES[kk, nn] = table
+            _COUNT_SIZE += len(table)
+        if _COUNT_SIZE > _COUNT_BUDGET:
+            # the next row reads only this one, and the callers' next boxes
+            # are (k+1, n) (which starts from row k) and (k-j, n)
+            keys = [(kk, nn) for nn in range(n + 1)]
+            keys += [(j, n) for j in range(kk) if (j, n) in _COUNT_TABLES]
+            kept = {key: _COUNT_TABLES[key] for key in keys}
+            _COUNT_TABLES.clear()
+            _COUNT_TABLES.update(kept)
+            _COUNT_SIZE = sum(map(len, kept.values()))
     return _COUNT_TABLES[k, n]
 
 
@@ -119,7 +149,13 @@ def count_partitions_in_box(k: int, n: int, m: int) -> int:
 
 def delta(k: int, n: int, m: int) -> int:
     """p(k,n,m) - p(k,n,m-1); may be negative past the middle weight n*k/2."""
-    return count_partitions_in_box(k, n, m) - count_partitions_in_box(k, n, m - 1)
+    if k < 0 or n < 0:
+        raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
+    top = n * k
+    if not 0 <= m <= top + 1:
+        return 0
+    table = _count_table(k, n)
+    return (table[m] if m <= top else 0) - (table[m - 1] if m else 0)
 
 
 def enumerate_partitions_in_box(k: int, n: int, m: int) -> list[BoxPartition]:

@@ -48,6 +48,13 @@ def _cache_dir(args: argparse.Namespace) -> Path:
     return resolved if resolved is not None else Path(DEFAULT_CACHE_DIR)
 
 
+def _require_nonnegative(args: argparse.Namespace, flags) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 0:
+            raise ValueError(f"--{flag} must be nonnegative, got {value}")
+
+
 def cmd_gauss(args: argparse.Namespace) -> int:
     poly = gauss(args.a, args.b)
     if args.format == "json":
@@ -103,11 +110,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         flags = ", ".join(f"--{flag}" for flag in given)
         raise ValueError(f"nr8 checks the fixed base grid 8 <= n, r < 16; {flags} not allowed")
     for flag, default in VERIFY_GRID.items():
-        value = getattr(args, flag)
-        if value is None:
+        if getattr(args, flag) is None:
             setattr(args, flag, default)
-        elif value < 0:
-            raise ValueError(f"--{flag} must be nonnegative, got {value}")
+    _require_nonnegative(args, VERIFY_GRID)
     if args.suite == "sylvester":
         bad = sylvester_grid_mismatches(args.nmax, args.kmax)
         cells = sum(
@@ -150,6 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    _require_nonnegative(args, ("nmax", "kmax", "rmax", "bound"))
     if args.family == "F-strict":
         reports = scan_conjecture_F_strict(
             args.nmax, args.kmax, args.include_below_range, jobs=args.jobs

@@ -32,6 +32,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress, count
+from operator import ne, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -57,7 +59,7 @@ class VerificationError(RuntimeError):
 
 
 def coefficients_digest(p: QPoly) -> str:
-    data = ",".join(str(c) for c in p.coeffs).encode()
+    data = ",".join(map(str, p.coeffs)).encode()
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
@@ -204,11 +206,11 @@ _CHECKS = {
 def _delta_identity_break(poly: QPoly, n: int, k: int) -> int | None:
     """First ``m <= n*k/2`` where the coefficient delta of ``F(n, k)`` misses
     ``delta(k,n,m) - delta(k-2,n,m-n)``, else None."""
-    for m in range(0, n * k // 2 + 1):
-        lhs = poly.coefficient(m) - poly.coefficient(m - 1)
-        if lhs != delta(k, n, m) - delta(k - 2, n, m - n):
-            return m
-    return None
+    size = n * k // 2 + 1
+    cs = poly.coeffs[:size]
+    cs += (0,) * (size - len(cs))
+    rhs = [delta(k, n, m) - delta(k - 2, n, m - n) for m in range(size)]
+    return next(compress(count(), map(ne, map(sub, cs, (0,) + cs), rhs)), None)
 
 
 def _cell(suite: _Suite, params: tuple[int, ...]) -> ScanReport:

@@ -3,7 +3,10 @@
 A polynomial is stored densely: index ``i`` of :attr:`QPoly.coeffs` holds the
 (arbitrary-precision) integer coefficient of ``q**i``.  Canonical form never
 stores a trailing zero, so the zero polynomial stores nothing at all and has
-degree ``-inf``.
+degree ``-inf``.  Sums and differences map ``operator.add``/``operator.sub``
+over the two tuples zero-padded to one length and strip the trailing zeros
+once; a shift and a ``gauss`` result wrap a tuple that is already canonical,
+with no copy.
 
 The Gaussian coefficient ``gauss(a, b)`` is built by the product formula.
 With ``j = min(b, a - b)`` and ``c = a - j`` it is the last link of the chain
@@ -33,13 +36,16 @@ with exactly three tolerated equalities: between the first two coefficients,
 between the last two, and between the two entries of the apex when the
 maximum is attained twice in adjacent positions (for a symmetric polynomial
 of odd degree the central pair is always equal, so a strict apex there is
-impossible).
+impossible).  Each predicate finds its first offending index with one scan
+at C level, ``next(compress(count(start), map(op, cs, islice(cs, 1, None))))``
+over adjacent pairs, after the whole-sequence tests ``min(cs) >= 0`` and
+``cs == cs[::-1]`` where they settle the answer.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
+from itertools import accumulate, compress, count, islice
 from typing import Iterable, Iterator
 
 NEG_INF = float("-inf")
@@ -69,10 +75,14 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _strip(tuple(coeffs))
+
+    @classmethod
+    def _wrap(cls, coeffs: tuple[int, ...]) -> "QPoly":
+        """A polynomial on ``coeffs`` as is: a tuple already in canonical form."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -112,16 +122,10 @@ class QPoly:
         return bool(self.coeffs)
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        return QPoly(
-            x + y
-            for x, y in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        )
+        return _padded_map(operator.add, self.coeffs, other.coeffs)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        return QPoly(
-            x - y
-            for x, y in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        )
+        return _padded_map(operator.sub, self.coeffs, other.coeffs)
 
     def __neg__(self) -> "QPoly":
         return QPoly(-c for c in self.coeffs)
@@ -149,7 +153,7 @@ class QPoly:
             raise ValueError(f"shift amount must be nonnegative, got {s}")
         if not self.coeffs:
             return QPoly()
-        return QPoly((0,) * s + self.coeffs)
+        return QPoly._wrap((0,) * s + self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -180,6 +184,19 @@ class QPoly:
         return cls(int(c) for c in obj["coeffs"])
 
 
+def _strip(cs: tuple[int, ...]) -> tuple[int, ...]:
+    """``cs`` without its trailing zeros."""
+    zeros = next(compress(count(), reversed(cs)), len(cs))
+    return cs[: len(cs) - zeros] if zeros else cs
+
+
+def _padded_map(op, a: tuple[int, ...], b: tuple[int, ...]) -> QPoly:
+    """``op`` applied coefficientwise to ``a`` and ``b`` padded to one length."""
+    n = max(len(a), len(b))
+    cs = tuple(map(op, a + (0,) * (n - len(a)), b + (0,) * (n - len(b))))
+    return QPoly._wrap(_strip(cs))
+
+
 # The product-chain memo: (c, i) -> coefficients of gauss(c + i, i).  Every
 # gauss() call reads it and extends the chain of its own c.  _MEMO_SIZE is
 # the number of coefficients stored; once a step pushes it past _MEMO_BUDGET
@@ -202,7 +219,7 @@ def _chain_step(prev: tuple[int, ...], c: int, i: int) -> tuple[int, ...]:
     out = list(prev) + [0] * s
     out[s:] = map(operator.sub, out[s:], prev)
     for r in range(i):
-        out[r::i] = itertools.accumulate(out[r::i])
+        out[r::i] = accumulate(out[r::i])
     d = len(prev) - 1 + c
     if any(out[d + 1:]):
         raise ArithmeticError(
@@ -244,15 +261,19 @@ def gauss(a: int, b: int) -> QPoly:
                 _MEMO.clear()
                 _MEMO[c, i] = coeffs
                 _MEMO_SIZE = len(coeffs)
-    return QPoly(coeffs)
+    return QPoly._wrap(coeffs)
+
+
+def _first(flags: Iterable[bool], start: int = 0) -> int | None:
+    """``start`` plus the position of the first true flag, or None."""
+    return next(compress(count(start), flags), None)
 
 
 def first_negative_index(p: QPoly) -> int | None:
     """Index of the first negative coefficient, or None if all nonnegative."""
-    for i, c in enumerate(p.coeffs):
-        if c < 0:
-            return i
-    return None
+    if min(p.coeffs, default=0) >= 0:
+        return None
+    return _first(map((0).__gt__, p.coeffs))
 
 
 def _require_nonnegative(p: QPoly) -> None:
@@ -267,11 +288,9 @@ def symmetry_break(p: QPoly) -> int | None:
     The zero polynomial counts as symmetric.
     """
     cs = p.coeffs
-    n = len(cs)
-    for i in range(n // 2):
-        if cs[i] != cs[n - 1 - i]:
-            return i
-    return None
+    if cs == cs[::-1]:
+        return None
+    return _first(map(operator.ne, cs, reversed(cs)))
 
 
 def is_symmetric(p: QPoly) -> bool:
@@ -287,12 +306,12 @@ def unimodality_break(p: QPoly) -> int | None:
     """
     _require_nonnegative(p)
     cs = p.coeffs
-    i = 0
-    while i + 1 < len(cs) and cs[i] <= cs[i + 1]:
-        i += 1
-    while i + 1 < len(cs) and cs[i] >= cs[i + 1]:
-        i += 1
-    return None if i + 1 >= len(cs) else i + 1
+    # the first strict fall ends the rise; a strict rise after it breaks
+    i = _first(map(operator.gt, cs, islice(cs, 1, None)))
+    if i is None:
+        return None
+    j = _first(map(operator.lt, islice(cs, i, None), islice(cs, i + 1, None)), i)
+    return None if j is None else j + 1
 
 
 def is_unimodal(p: QPoly) -> bool:
@@ -319,14 +338,13 @@ def strictness_break(p: QPoly) -> int | None:
     if cs[d - 1] < cs[d]:
         return d
     # Interior cs[1..d-1]: strict rise, at most one apex equality, strict fall.
-    i = 1
-    while i + 1 <= d - 1 and cs[i] < cs[i + 1]:
+    i = _first(map(operator.ge, islice(cs, 1, d - 1), islice(cs, 2, d)), 1)
+    if i is None:
+        return None
+    if cs[i] == cs[i + 1]:
         i += 1
-    if i + 1 <= d - 1 and cs[i] == cs[i + 1]:
-        i += 1
-    while i + 1 <= d - 1 and cs[i] > cs[i + 1]:
-        i += 1
-    return None if i == d - 1 else i + 1
+    j = _first(map(operator.le, islice(cs, i, d - 1), islice(cs, i + 1, d)), i)
+    return None if j is None else j + 1
 
 
 def is_strictly_unimodal_except_ends(p: QPoly) -> bool:

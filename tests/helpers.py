@@ -3,11 +3,15 @@
 These deliberately avoid the production code paths: partitions are grown
 part by part as decreasing tuples, polynomials are expanded with plain
 dicts keyed by exponent tuples, and ranks and nullspaces are computed by
-dense elimination over Fractions.
+dense elimination over Fractions.  The shape predicates and the ``QPoly``
+sums are kept here in their plain loop form, on coefficient tuples.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
+
+from semiinv.qpoly import NonnegativityViolation
 
 
 def brute_partitions(k, n, m):
@@ -228,3 +232,74 @@ I2_TERMS = {
     (1, 2, 0, 0, 1): 1,
     (2, 0, 1, 0, 1): -1,
 }
+
+
+def loop_strip(cs):
+    """``cs`` as a tuple without trailing zeros."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def loop_add(a, b):
+    return loop_strip(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def loop_sub(a, b):
+    return loop_strip(x - y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def loop_shift(cs, s):
+    return (0,) * s + tuple(cs) if cs else ()
+
+
+def loop_first_negative_index(cs):
+    for i, c in enumerate(cs):
+        if c < 0:
+            return i
+    return None
+
+
+def _loop_require_nonnegative(cs):
+    i = loop_first_negative_index(cs)
+    if i is not None:
+        raise NonnegativityViolation(i, cs[i])
+
+
+def loop_symmetry_break(cs):
+    n = len(cs)
+    for i in range(n // 2):
+        if cs[i] != cs[n - 1 - i]:
+            return i
+    return None
+
+
+def loop_unimodality_break(cs):
+    _loop_require_nonnegative(cs)
+    i = 0
+    while i + 1 < len(cs) and cs[i] <= cs[i + 1]:
+        i += 1
+    while i + 1 < len(cs) and cs[i] >= cs[i + 1]:
+        i += 1
+    return None if i + 1 >= len(cs) else i + 1
+
+
+def loop_strictness_break(cs):
+    _loop_require_nonnegative(cs)
+    d = len(cs) - 1
+    if d < 4:
+        degree = d if cs else float("-inf")
+        raise ValueError(f"degree must be at least 4, got {degree}")
+    if cs[0] > cs[1]:
+        return 1
+    if cs[d - 1] < cs[d]:
+        return d
+    i = 1
+    while i + 1 <= d - 1 and cs[i] < cs[i + 1]:
+        i += 1
+    if i + 1 <= d - 1 and cs[i] == cs[i + 1]:
+        i += 1
+    while i + 1 <= d - 1 and cs[i] > cs[i + 1]:
+        i += 1
+    return None if i == d - 1 else i + 1

@@ -197,7 +197,7 @@ def test_criterion_12_property_suites(tmp_path):
         if a > b:
             assert a * c > b * c
 
-    # q-Pascal recurrence
+    # the q-Pascal identity holds for the product-formula coefficients
     for a in range(1, 11):
         for b in range(1, a):
             assert gauss(a, b) == gauss(a - 1, b - 1) + gauss(a - 1, b).shift(b)

@@ -1,7 +1,11 @@
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semiinv import boxpartitions
 from semiinv.boxpartitions import (
     BoxPartition,
     count_partitions_in_box,
@@ -9,6 +13,7 @@ from semiinv.boxpartitions import (
     enumerate_partitions_in_box,
 )
 from semiinv.monomials import Monomial
+from semiinv.qpoly import gauss
 
 from helpers import brute_count, brute_partitions, partition_to_nu
 
@@ -70,6 +75,78 @@ class TestCount:
                     count_partitions_in_box(k, n, m) for m in range(n * k + 1)
                 )
                 assert total == math.comb(n + k, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_table(k, n):
+    return tuple(brute_count(k, n, m) for m in range(n * k + 1))
+
+
+def _fresh_tables(mp: pytest.MonkeyPatch, budget: int) -> None:
+    # an empty shared table store for this test; the original comes back afterwards
+    mp.setattr(boxpartitions, "_COUNT_TABLES", {})
+    mp.setattr(boxpartitions, "_COUNT_SIZE", 0)
+    mp.setattr(boxpartitions, "_COUNT_BUDGET", budget)
+
+
+def _stored(expected) -> int:
+    """Coefficients stored, after checking the size and every table."""
+    for (k, n), table in boxpartitions._COUNT_TABLES.items():
+        assert table == expected(k, n), (k, n)
+    assert boxpartitions._COUNT_SIZE == sum(map(len, boxpartitions._COUNT_TABLES.values()))
+    return boxpartitions._COUNT_SIZE
+
+
+def _kept_lines(k, n):
+    """Coefficients in row k (n' <= n) and column n (k' <= k) of the (k, n) fill."""
+    return sum(nn * k + 1 for nn in range(n + 1)) + sum(n * kk + 1 for kk in range(k + 1))
+
+
+class TestCountBudget:
+    """The bounded store of box-count tables."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=8),
+        st.sampled_from([0, 20, 300, boxpartitions._COUNT_BUDGET]),
+    )
+    def test_any_call_order_matches_brute_force(self, calls, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            _fresh_tables(mp, budget)
+            largest = 0
+            for k, n in calls:
+                largest = max(largest, _kept_lines(k, n))
+                for m in (0, n * k // 2, n * k):
+                    assert count_partitions_in_box(k, n, m) == _brute_table(k, n)[m]
+                assert _stored(_brute_table) <= budget + largest, (k, n)
+
+    def test_tiny_budget_large_box(self, monkeypatch):
+        def gauss_table(k, n):
+            return gauss(n + k, k).coeffs
+
+        want = gauss(80, 40).coefficient(800)
+        _fresh_tables(monkeypatch, 50)
+        assert count_partitions_in_box(40, 40, 800) == want
+        assert _stored(gauss_table) <= 50 + _kept_lines(40, 40)
+        assert delta(38, 40, 760) == gauss(78, 38).coefficient(760) - gauss(78, 38).coefficient(759)
+
+    def test_neighbours_past_the_budget_are_cheap(self, monkeypatch):
+        class Counting(dict):
+            filled = 0
+
+            def __setitem__(self, key, value):
+                Counting.filled += 1
+                super().__setitem__(key, value)
+
+        _fresh_tables(monkeypatch, 50)
+        monkeypatch.setattr(boxpartitions, "_COUNT_TABLES", Counting())
+        count_partitions_in_box(30, 20, 300)
+        Counting.filled = 0
+        assert count_partitions_in_box(31, 20, 310) == gauss(51, 31).coefficient(310)
+        assert Counting.filled == 21
+        # the column of the requested box is kept too
+        assert delta(27, 20, 270) == gauss(47, 27).coefficient(270) - gauss(47, 27).coefficient(269)
+        assert Counting.filled == 21
 
 
 class TestDelta:

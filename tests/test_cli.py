@@ -331,6 +331,16 @@ class TestScanCommand:
         assert run_cli(capsys, "scan", "nosuch")[0] == 2
         assert run_cli(capsys)[0] == 2
 
+    @pytest.mark.parametrize("family", ["F-strict", "strange", "bergeron"])
+    @pytest.mark.parametrize("flag", ["--nmax", "--kmax", "--rmax", "--bound"])
+    def test_negative_bound_rejected(self, capsys, tmp_path, family, flag):
+        prefix = str(tmp_path / "x")
+        code, out, err = run_cli(capsys, "scan", family, flag, "-2", "--out", prefix)
+        assert code == 2
+        assert flag in err
+        assert out == ""
+        assert not (tmp_path / "x.jsonl").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, tmp_path, jobs):
         prefix = str(tmp_path / "x")

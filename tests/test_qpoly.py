@@ -21,7 +21,17 @@ from semiinv.qpoly import (
     unimodality_break,
 )
 
-from helpers import brute_count
+from helpers import (
+    brute_count,
+    loop_add,
+    loop_first_negative_index,
+    loop_shift,
+    loop_strictness_break,
+    loop_strip,
+    loop_sub,
+    loop_symmetry_break,
+    loop_unimodality_break,
+)
 
 
 def test_module_doctests():
@@ -302,3 +312,59 @@ class TestStrictExceptEnds:
                 continue
             if is_strictly_unimodal_except_ends(p):
                 assert is_unimodal(p)
+
+
+_SMALL = st.integers(-2, 5)
+_HALF = st.lists(st.integers(0, 5), max_size=4).map(sorted)
+# coefficient lists of length 0-8: free, with plateaus (runs of one value),
+# and mirrored rises with an equal apex pair or a single apex
+_SEQS = st.one_of(
+    st.lists(_SMALL, max_size=8),
+    st.lists(st.tuples(_SMALL, st.integers(1, 3)), max_size=4).map(
+        lambda runs: [v for v, r in runs for _ in range(r)][:8]
+    ),
+    _HALF.map(lambda h: h + h[::-1]),
+    _HALF.map(lambda h: h[:-1] + h[::-1]),
+    st.lists(_SMALL, max_size=4).map(lambda h: h + h[::-1]),
+)
+
+_PREDICATES = [
+    (first_negative_index, loop_first_negative_index),
+    (symmetry_break, loop_symmetry_break),
+    (unimodality_break, loop_unimodality_break),
+    (strictness_break, loop_strictness_break),
+]
+
+
+def _outcome(fn, arg):
+    """``fn(arg)``, or the class, message, index and value of its ValueError."""
+    try:
+        return fn(arg)
+    except ValueError as exc:  # NonnegativityViolation included
+        return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "value", None)
+
+
+class TestScansMatchLoops:
+    """The iterator scans against the loop versions kept in helpers."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SEQS)
+    def test_predicates(self, seq):
+        p = QPoly(seq)
+        assert p.coeffs == loop_strip(seq)
+        for scan, loop in _PREDICATES:
+            assert _outcome(scan, p) == _outcome(loop, p.coeffs), scan.__name__
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SEQS, _SEQS, st.integers(0, 3))
+    def test_sum_difference_and_shift(self, a, b, s):
+        p, q = QPoly(a), QPoly(b)
+        results = [
+            (p + q, loop_add(p.coeffs, q.coeffs)),
+            (p - q, loop_sub(p.coeffs, q.coeffs)),
+            (p - p, ()),
+            (p.shift(s), loop_shift(p.coeffs, s)),
+        ]
+        for got, want in results:
+            assert got.coeffs == want
+            assert not got.coeffs or got.coeffs[-1] != 0
