@@ -48,7 +48,7 @@ def _cache_dir(args: argparse.Namespace) -> Path:
     return resolved if resolved is not None else Path(DEFAULT_CACHE_DIR)
 
 
-def _require_nonnegative(args: argparse.Namespace, flags) -> None:
+def _require_nonnegative_flags(args: argparse.Namespace, flags) -> None:
     for flag in flags:
         value = getattr(args, flag)
         if value < 0:
@@ -112,7 +112,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for flag, default in VERIFY_GRID.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
-    _require_nonnegative(args, VERIFY_GRID)
+    _require_nonnegative_flags(args, VERIFY_GRID)
     if args.suite == "sylvester":
         bad = sylvester_grid_mismatches(args.nmax, args.kmax)
         cells = sum(
@@ -155,7 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    _require_nonnegative(args, ("nmax", "kmax", "rmax", "bound"))
+    _require_nonnegative_flags(args, ("nmax", "kmax", "rmax", "bound"))
     if args.family == "F-strict":
         reports = scan_conjecture_F_strict(
             args.nmax, args.kmax, args.include_below_range, jobs=args.jobs
