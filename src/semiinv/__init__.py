@@ -8,7 +8,6 @@ grid verifiers built on top.
 """
 
 from .boxpartitions import (
-    BoxPartition,
     count_partitions_in_box,
     delta,
     enumerate_partitions_in_box,
@@ -19,7 +18,6 @@ from .cayley import (
     SparseIntMatrix,
     SylvesterMismatchError,
     apply_D,
-    basis_exponents,
     build_D_matrix,
     kernel_basis,
     semiinvariant_dim,
@@ -70,7 +68,6 @@ from .witnesses import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxPartition",
     "DependenceError",
     "F",
     "G",
@@ -85,7 +82,6 @@ __all__ = [
     "VerificationError",
     "apply_D",
     "base_grid_deltas",
-    "basis_exponents",
     "bergeron",
     "build_D_matrix",
     "coefficients_digest",

@@ -15,11 +15,11 @@ monomial order, i.e. ascending lexicographic order of the reversed vector
 A stratum is walked once, as packed keys in the layout of
 :class:`~semiinv.monomials.SIPoly` at degree ``k`` (``nu_i`` in the ``i``-th
 slot of ``_width(k)`` bits), so ascending keys are the basis order and
-:mod:`semiinv.cayley` builds its matrices on the keys directly; exponent
-tuples are decoded from the keys.  The walk is depth-first and iterative
-over the part sizes ``n, n-1, ..., 3``, skips the sizes larger than the
-weight left, and emits the keys for the sizes 2, 1 and 0 as one arithmetic
-progression.
+:mod:`semiinv.cayley` builds its matrices on the keys directly;
+:func:`enumerate_partitions_in_box` returns the tuples ``nu`` decoded from
+the keys.  The walk is depth-first and iterative over the part sizes
+``n, n-1, ..., 3``, skips the sizes larger than the weight left, and emits
+the keys for the sizes 2, 1 and 0 as one arithmetic progression.
 
 Counting uses a two-dimensional recurrence over the box,
 
@@ -42,47 +42,8 @@ stay an independent cross-check.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .monomials import _unpack, _width
-
-
-@dataclass(frozen=True)
-class BoxPartition:
-    """A partition inside a ``box_k x box_n`` rectangle, as multiplicities.
-
-    ``nu[i]`` is the number of parts equal to ``i``; zero parts are counted,
-    so ``sum(nu) == box_k`` always holds.
-    """
-
-    nu: tuple[int, ...]
-    box_k: int
-    box_n: int
-
-    def __post_init__(self):
-        if len(self.nu) != self.box_n + 1:
-            raise ValueError(
-                f"multiplicity vector has length {len(self.nu)}, "
-                f"expected {self.box_n + 1}"
-            )
-        if any(v < 0 for v in self.nu):
-            raise ValueError("negative part multiplicity")
-        if sum(self.nu) != self.box_k:
-            raise ValueError(
-                f"multiplicities sum to {sum(self.nu)}, expected {self.box_k}"
-            )
-
-    @property
-    def weight(self) -> int:
-        """Size of the partition: sum of all parts."""
-        return sum(i * v for i, v in enumerate(self.nu))
-
-    def parts(self) -> tuple[int, ...]:
-        """The nonzero parts in decreasing order."""
-        out = []
-        for i in range(self.box_n, 0, -1):
-            out.extend([i] * self.nu[i])
-        return tuple(out)
 
 
 # (k, n) -> p(k, n, m) for m = 0..n*k.  _COUNT_SIZE is the number of
@@ -158,19 +119,13 @@ def delta(k: int, n: int, m: int) -> int:
     return (table[m] if m <= top else 0) - (table[m - 1] if m else 0)
 
 
-def enumerate_partitions_in_box(k: int, n: int, m: int) -> list[BoxPartition]:
-    """All partitions of ``m`` in the ``k x n`` box, in basis order.
+def enumerate_partitions_in_box(k: int, n: int, m: int) -> list[tuple[int, ...]]:
+    """Multiplicity vectors ``nu`` of the partitions of ``m`` in the ``k x n`` box.
 
-    The order is descending anti-lexicographic on the associated monomials:
-    multiplicity vectors are generated in ascending lexicographic order of
-    ``(nu_n, nu_n-1, ..., nu_1)``.  The length of the result always equals
-    ``count_partitions_in_box(k, n, m)``.
+    They come in basis order, descending anti-lexicographic on the associated
+    monomials: ascending lexicographic order of ``(nu_n, nu_n-1, ..., nu_0)``.
+    The length of the result always equals ``count_partitions_in_box(k, n, m)``.
     """
-    return [BoxPartition(nu, k, n) for nu in _multiplicity_vectors(k, n, m)]
-
-
-def _multiplicity_vectors(k: int, n: int, m: int) -> list[tuple[int, ...]]:
-    """The ``nu`` of :func:`enumerate_partitions_in_box`, in the same order."""
     return list(_unpack(_stratum_keys(k, n, m), n, _width(k)))
 
 

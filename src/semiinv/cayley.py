@@ -16,6 +16,9 @@ The matrix is built on packed keys: the columns and rows are the strata of
 weights ``m`` and ``m-1`` walked as keys in the ``SIPoly`` layout at degree
 ``k`` (see :mod:`semiinv.boxpartitions`), and the image of a column key
 lies at ``key + step_i``, the same rule :func:`apply_D` uses.
+:func:`kernel_basis` and :func:`semiinvariant_dim` share one entry that
+checks the arguments, builds the matrix and eliminates; at weight 0 the
+matrix has no rows, so the single monomial ``a_0^k`` is the kernel.
 
 The nullspace computation is exact and fraction-free.  Columns are taken
 in the fixed anti-lexicographic order; at each column the pivot is the row,
@@ -47,17 +50,12 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Sequence
 
-from .boxpartitions import _multiplicity_vectors, _stratum_keys, delta
+from .boxpartitions import _stratum_keys, delta
 from .monomials import Coeff, SIPoly, _nonzero, _width
 
 
 class SylvesterMismatchError(RuntimeError):
     """Computed nullity disagrees with the partition-count dimension."""
-
-
-def basis_exponents(n: int, k: int, m: int) -> list[tuple[int, ...]]:
-    """Monomial basis of the (degree k, weight m) stratum, anti-lex descending."""
-    return _multiplicity_vectors(k, n, m)
 
 
 def _lowering_steps(n: int, w: int) -> list[tuple[int, int, int]]:
@@ -101,9 +99,6 @@ class SparseIntMatrix:
     ncols: int
     cols: tuple[dict[int, int], ...]
     col_keys: tuple[int, ...] = ()
-
-    def nnz(self) -> int:
-        return sum(len(col) for col in self.cols)
 
 
 def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
@@ -270,6 +265,25 @@ class KernelBasis:
         return kb
 
 
+def _eliminate(
+    n: int, k: int, m: int
+) -> tuple[SparseIntMatrix, list[tuple[int, dict[int, int]]], list[int]]:
+    """The lowering matrix of the (k, m) stratum and its :func:`_echelon`.
+
+    At ``m == 0`` the stratum is the single monomial ``a_0^k``, which ``D``
+    kills: a matrix with no rows and one (free) column.
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"parameters must be nonnegative, got n={n}, k={k}")
+    if not 0 <= m <= n * k:
+        raise ValueError(f"weight {m} outside [0, {n * k}]")
+    if m:
+        mat = build_D_matrix(n, k, m)
+    else:
+        mat = SparseIntMatrix(0, 1, ({},), tuple(_stratum_keys(k, n, 0)))
+    return (mat, *_echelon(mat))
+
+
 def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     """Exact nullspace basis of the lowering operator on the (k, m) stratum.
 
@@ -277,15 +291,7 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     coefficient) and ordered by their defining free column.  For
     ``m <= n*k/2`` the basis size is asserted to equal ``delta(k, n, m)``.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"parameters must be nonnegative, got n={n}, k={k}")
-    if not 0 <= m <= n * k:
-        raise ValueError(f"weight {m} outside [0, {n * k}]")
-    if m == 0:
-        nu = (k,) + (0,) * n
-        return KernelBasis(n, k, m, (SIPoly.term(n, nu, 1),))
-    mat = build_D_matrix(n, k, m)
-    pivots, free_cols = _echelon(mat)
+    mat, pivots, free_cols = _eliminate(n, k, m)
     keys = mat.col_keys
     vectors = []
     for f in free_cols:
@@ -315,14 +321,7 @@ def semiinvariant_dim(n: int, k: int, m: int) -> int:
     so comparing this value with ``delta(k, n, m)`` is a genuine two-route
     check.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"parameters must be nonnegative, got n={n}, k={k}")
-    if not 0 <= m <= n * k:
-        raise ValueError(f"weight {m} outside [0, {n * k}]")
-    if m == 0:
-        return 1
-    _, free_cols = _echelon(build_D_matrix(n, k, m))
-    return len(free_cols)
+    return len(_eliminate(n, k, m)[2])
 
 
 def shear_coefficients(a: Sequence[Coeff], h: Coeff) -> list[Fraction]:

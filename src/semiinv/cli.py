@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or domain error, 3 failed verification or
-dimension mismatch, 4 I/O failure.  Progress and diagnostics go to stderr;
-data goes to stdout or to files.
+Exit codes: 0 success, 2 usage or domain error, 3 failed verification,
+dimension mismatch or inexact internal division, 4 I/O failure.  Progress
+and diagnostics go to stderr; data goes to stdout or to files.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from pathlib import Path
 from . import cache
 from .boxpartitions import delta
 from .cayley import (
+    KernelBasis,
     SylvesterMismatchError,
     semiinvariant_dim,
     sylvester_grid_mismatches,
@@ -66,8 +67,9 @@ def cmd_gauss(args: argparse.Namespace) -> int:
 
 def cmd_dim(args: argparse.Namespace) -> int:
     n, k, m = args.n, args.k, args.m
-    d = delta(k, n, m)
+    # the kernel entry checks the arguments and names them in n, k order
     dim = semiinvariant_dim(n, k, m)
+    d = delta(k, n, m)
     if 2 * m <= n * k:
         flag = "MATCH" if d == dim else "MISMATCH"
     else:
@@ -80,14 +82,9 @@ def cmd_basis(args: argparse.Namespace) -> int:
     directory = _cache_dir(args)
     kb = cache.kernel_basis_cached(args.n, args.k, args.m, directory)
     tri = triangulate(kb.vectors)
-    obj = {
-        "n": kb.n,
-        "k": kb.k,
-        "m": kb.m,
-        "dim": kb.dim,
-        "vectors": [v.to_json_list() for v in tri],
-    }
-    data = cache.canonical_json_bytes(obj)
+    data = cache.canonical_json_bytes(
+        KernelBasis(kb.n, kb.k, kb.m, tuple(tri)).to_json_obj()
+    )
     if args.out:
         cache.atomic_write_bytes(Path(args.out), data)
         _info(f"wrote {args.out}")
@@ -241,7 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _info(f"error: {exc}")
         return 2
-    except (VerificationError, SylvesterMismatchError) as exc:
+    except (VerificationError, SylvesterMismatchError, ArithmeticError) as exc:
+        # ArithmeticError: an inexact division in the gauss product chain
         _info(f"verification failure: {exc}")
         return 3
     except OSError as exc:

@@ -66,10 +66,6 @@ class Monomial:
     def weight(self) -> int:
         return sum(i * v for i, v in enumerate(self.nu))
 
-    def antilex_key(self) -> tuple[int, ...]:
-        """Sort key: ascending key order is descending monomial order."""
-        return self.nu[::-1]
-
     def _check_same_n(self, other: "Monomial") -> None:
         if len(self.nu) != len(other.nu):
             raise ValueError(

@@ -84,14 +84,6 @@ class QPoly:
         p.coeffs = coeffs
         return p
 
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((1,))
-
     @property
     def degree(self) -> int | float:
         """Degree of the polynomial; ``-inf`` for the zero polynomial."""

@@ -48,9 +48,9 @@ def _common_n(vs: Sequence[SIPoly]) -> int:
     return n
 
 
-def _reduce(vs: Sequence[SIPoly], on_dependence: str) -> list[SIPoly] | None:
-    """Leading-term elimination.  Returns triangulated list, or None if a
-    vector reduced to zero and ``on_dependence`` is \"none\".
+def _reduce(vs: Sequence[SIPoly]) -> list[SIPoly]:
+    """Leading-term elimination.  Returns the triangulated list, and raises
+    :class:`DependenceError` if a vector reduces to zero.
 
     Vectors are kept primitive, and each elimination step cross-multiplies
     by the two leading coefficients over their gcd, so every vector stays
@@ -62,9 +62,7 @@ def _reduce(vs: Sequence[SIPoly], on_dependence: str) -> list[SIPoly] | None:
         w = v.primitive()
         while True:
             if w.is_zero():
-                if on_dependence == "raise":
-                    raise DependenceError(idx)
-                return None
+                raise DependenceError(idx)
             lead = w.leading_nu()
             piv = pivots.get(lead)
             if piv is None:
@@ -86,7 +84,7 @@ def triangulate(vs: Sequence[SIPoly]) -> list[SIPoly]:
     if not vs:
         return []
     _common_n(vs)
-    return _reduce(vs, on_dependence="raise")
+    return _reduce(vs)
 
 
 def independence_check(vs: Sequence[SIPoly]) -> bool:
@@ -94,7 +92,11 @@ def independence_check(vs: Sequence[SIPoly]) -> bool:
     if not vs:
         return True
     _common_n(vs)
-    return _reduce(vs, on_dependence="none") is not None
+    try:
+        _reduce(vs)
+    except DependenceError:
+        return False
+    return True
 
 
 def _is_triangulated(vs: Sequence[SIPoly]) -> bool:

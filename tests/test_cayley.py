@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiinv.boxpartitions import count_partitions_in_box, delta
+from semiinv.boxpartitions import (
+    count_partitions_in_box,
+    delta,
+    enumerate_partitions_in_box,
+)
 from semiinv.cache import canonical_json_bytes
 from semiinv.cayley import (
     KernelBasis,
@@ -15,7 +19,6 @@ from semiinv.cayley import (
     _back_substitute,
     _echelon,
     apply_D,
-    basis_exponents,
     build_D_matrix,
     kernel_basis,
     semiinvariant_dim,
@@ -59,7 +62,7 @@ class TestApplyD:
             n = rng.randint(1, 5)
             k = rng.randint(1, 4)
             m = rng.randint(1, n * k)
-            exps = basis_exponents(n, k, m)
+            exps = enumerate_partitions_in_box(k, n, m)
             terms = {nu: rng.randint(-3, 3) for nu in rng.sample(exps, min(3, len(exps)))}
             p = SIPoly(n, terms)
             if p.is_zero():
@@ -95,8 +98,8 @@ class TestMatrix:
     def test_columns_match_operator(self):
         n, k, m = 4, 3, 5
         mat = build_D_matrix(n, k, m)
-        col_basis = basis_exponents(n, k, m)
-        row_basis = basis_exponents(n, k, m - 1)
+        col_basis = enumerate_partitions_in_box(k, n, m)
+        row_basis = enumerate_partitions_in_box(k, n, m - 1)
         for j, nu in enumerate(col_basis):
             image = apply_D(SIPoly.term(n, nu, 1))
             expected = {row_basis.index(mu): int(c) for mu, c in image.items()}
@@ -129,6 +132,15 @@ class TestKernel:
         kb = kernel_basis(3, 4, 0)
         assert kb.dim == 1
         assert kb.vectors[0] == SIPoly.term(3, (4, 0, 0, 0), 1)
+        # every weight-0 stratum, including n = 0 and k = 0, is the one-term
+        # basis a_0^k, byte for byte
+        for n in range(12):
+            for k in range(12):
+                a0_power = SIPoly.term(n, (k,) + (0,) * n, 1)
+                expected = KernelBasis(n, k, 0, (a0_power,)).to_json_obj()
+                got = kernel_basis(n, k, 0).to_json_obj()
+                assert canonical_json_bytes(got) == canonical_json_bytes(expected), (n, k)
+                assert semiinvariant_dim(n, k, 0) == delta(k, n, 0) == 1, (n, k)
 
     def test_empty_above_middle(self):
         # the operator is injective past the middle weight
@@ -239,7 +251,7 @@ class TestPackedKeys:
                 for m in range(1, n * k + 1):
                     mat = build_D_matrix(n, k, m)
                     decoded = list(_unpack(mat.col_keys, n, _width(k)))
-                    assert decoded == basis_exponents(n, k, m), (n, k, m)
+                    assert decoded == enumerate_partitions_in_box(k, n, m), (n, k, m)
 
     def test_kernel_vectors_match_checked_construction(self):
         for n in range(6):
@@ -271,7 +283,7 @@ class TestDimension:
                 SIPoly(
                     n,
                     {
-                        basis_exponents(n, k, m)[c]: v
+                        enumerate_partitions_in_box(k, n, m)[c]: v
                         for c, v in enumerate(
                             [col.get(r, 0) for col in mat.cols]
                         )

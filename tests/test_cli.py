@@ -71,6 +71,12 @@ class TestDimCommand:
         assert code == 0
         assert out.strip().endswith("UNCHECKED")
 
+    def test_negative_box_named_in_argument_order(self, capsys):
+        code, out, err = run_cli(capsys, "dim", "-1", "2", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: parameters must be nonnegative, got n=-1, k=2\n"
+
 
 class TestBasisCommand:
     def test_writes_triangulated_basis(self, capsys, tmp_path):
@@ -415,6 +421,17 @@ class TestExitCodeContract:
         code, out, _ = run_cli(capsys, "dim", "4", "4", "6")
         assert code == 3
         assert "MISMATCH" in out
+
+    def test_inexact_gauss_division_exits_three(self, capsys, monkeypatch):
+        from semiinv import qpoly
+
+        # a corrupted link of the c = 5 chain makes the next division inexact
+        monkeypatch.setattr(qpoly, "_MEMO", {(5, 2): (1, 1, 1, 1)})
+        monkeypatch.setattr(qpoly, "_MEMO_SIZE", 4)
+        code, out, err = run_cli(capsys, "gauss", "8", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("verification failure: ")
 
     def test_scan_io_failure_exits_four(self, capsys, tmp_path):
         prefix = str(tmp_path / "no" / "such" / "dir" / "x")

@@ -36,7 +36,7 @@ class TestOrder:
             assert b < a
 
     def test_chain_is_exactly_the_stratum(self):
-        got = [bp.nu for bp in enumerate_partitions_in_box(4, 4, 6)]
+        got = enumerate_partitions_in_box(4, 4, 6)
         assert got == CHAIN
 
     def test_equality(self):
@@ -53,7 +53,7 @@ class TestOrder:
 
     def test_sort_matches_pairwise_rule(self):
         # brute-force oracle: selection sort by pairwise reversed-tuple rule
-        monos = [Monomial(bp.nu) for bp in enumerate_partitions_in_box(3, 3, 4)]
+        monos = [Monomial(nu) for nu in enumerate_partitions_in_box(3, 3, 4)]
         rng = random.Random(7)
         shuffled = monos[:]
         rng.shuffle(shuffled)
@@ -98,10 +98,10 @@ class TestMonomial:
         assert m.n == 3
 
     def test_box_partition_degree_and_weight(self):
-        for bp in enumerate_partitions_in_box(3, 4, 5):
-            m = Monomial(bp.nu)
-            assert m.degree == bp.box_k
-            assert m.weight == bp.weight
+        for nu in enumerate_partitions_in_box(3, 4, 5):
+            m = Monomial(nu)
+            assert m.degree == 3
+            assert m.weight == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
