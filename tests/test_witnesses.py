@@ -167,8 +167,10 @@ class TestStrictWitnesses:
 
 
 class TestWitnessGoldens:
-    # sha256 of each family's canonical JSON, recorded with tuple-keyed,
-    # Fraction-valued SIPoly arithmetic
+    # sha256 of each family's canonical JSON; the first three recorded with
+    # tuple-keyed, Fraction-valued SIPoly arithmetic, the last two (the
+    # r >= 16 reduction and a gap-two staircase) with the inline staircases
+    # that lemma_combine replaced
     @pytest.mark.parametrize(
         "build, digest",
         [
@@ -178,8 +180,12 @@ class TestWitnessGoldens:
              "c9cf1cae3eeafbc8f087893d9aa9dd52e3d25871ea2572d7052bb1200a89592a"),
             (lambda: strict_witnesses(8, 10, 8, 40),
              "0a02357e38fb28230efcd514688062eac566cd4d9365ded59360c78a3f9dc3a4"),
+            (lambda: nr8_witnesses(8, 16),
+             "101a43d042eeaaa16af7555d89577984c36dd7e612a05f984a3686a8b2eabd69"),
+            (lambda: strict_witnesses(8, 12, 8, 48),
+             "9e12f0579ad3efece3931c70f956304ec884e4038b8ddc22c3cfc1ff21b8841c"),
         ],
-        ids=["nr8-8-8", "nr8-9-8", "strict-8-10-8-40"],
+        ids=["nr8-8-8", "nr8-9-8", "strict-8-10-8-40", "nr8-8-16", "strict-8-12-8-48"],
     )
     def test_canonical_json_digest(self, build, digest):
         data = canonical_json_bytes([w.to_json_list() for w in build()])
