@@ -4,14 +4,14 @@ Disk files are named ``kernel_n{n}_k{k}_m{m}.json`` and written atomically
 (temp file in the target directory, then rename), so concurrent scans never
 observe a partial file.  A loaded basis is re-validated before reuse: the
 file's bytes must be the canonical serialization of what they decode to;
-every vector must be nonzero, annihilated by the lowering operator, and of
-degree ``k`` and weight ``m`` in every term; for ``2m <= nk`` their number
-must be ``delta(k, n, m)``; and the basis must have the computed one's
-normal form: primitive vectors whose trailing (anti-lex least) monomials
-strictly increase in file order, each vector zero at every other vector's
-trailing monomial.  Together these force a loaded basis to equal the one
-:func:`~semiinv.cayley.kernel_basis` computes.  Anything corrupt is
-recomputed and rewritten rather than trusted.
+:meth:`~semiinv.cayley.KernelBasis.verify` must pass (every vector nonzero,
+in the (k, m) stratum and annihilated by the lowering operator); for
+``2m <= nk`` the count must be ``delta(k, n, m)``; and the basis must have
+the computed one's normal form: primitive vectors whose trailing (anti-lex
+least) monomials strictly increase in file order, each vector zero at every
+other vector's trailing monomial.  Together these force a loaded basis to
+equal the one :func:`~semiinv.cayley.kernel_basis` computes.  Anything
+corrupt is recomputed and rewritten rather than trusted.
 
 The cache directory is chosen from, in order: an explicit argument, the
 ``SEMIINV_CACHE`` environment variable, or nothing (memory only).  The CLI
@@ -82,11 +82,6 @@ def _load_valid(path: Path, n: int, k: int, m: int) -> KernelBasis | None:
         return None
     if not kb.verify():
         return None
-    # a kernel vector of another stratum verifies too
-    for v in kb.vectors:
-        for nu, _ in v.items():
-            if sum(nu) != k or sum(i * e for i, e in enumerate(nu)) != m:
-                return None
     # a truncated file keeps the verified vectors; the count must be delta's
     if 2 * m <= n * k and kb.dim != delta(k, n, m):
         return None

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 from typing import Sequence
 
 from .boxpartitions import _stratum_keys, delta
@@ -243,8 +244,15 @@ class KernelBasis:
         return len(self.vectors)
 
     def verify(self) -> bool:
-        """Re-check that every vector is nonzero and annihilated by D."""
-        return all(not v.is_zero() and apply_D(v).is_zero() for v in self.vectors)
+        """Re-check that every vector is a nonzero polynomial in ``a_0..a_n``
+        of degree ``k`` and weight ``m`` in every term, annihilated by D."""
+        k, m, weights = self.k, self.m, range(self.n + 1)
+        return all(
+            v.n == self.n and not v.is_zero()
+            and all(sum(nu) == k and sum(map(mul, weights, nu)) == m for nu, _ in v.items())
+            and apply_D(v).is_zero()
+            for v in self.vectors
+        )
 
     def to_json_obj(self) -> dict:
         return {

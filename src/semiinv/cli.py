@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or domain error, 3 failed verification,
-dimension mismatch or inexact internal division, 4 I/O failure.  Progress
-and diagnostics go to stderr; data goes to stdout or to files.
+Exit codes: 0 success, 2 usage or domain error (a grid flag the suite or
+family does not read included), 3 failed verification, dimension mismatch
+or inexact internal division, 4 I/O failure.  Progress and diagnostics go
+to stderr; data goes to stdout or to files.
 """
 
 from __future__ import annotations
@@ -34,8 +35,15 @@ from .qpoly import gauss
 from .witnesses import base_grid_deltas, triangulate
 
 DEFAULT_CACHE_DIR = ".semiinv-cache"
-# grid bounds of the sylvester, F and G suites; nr8 has a fixed grid
-VERIFY_GRID = {"nmax": 6, "kmax": 6, "rmax": 10}
+# command -> suite or family -> the grid flags it reads, with their
+# defaults; nr8 checks a fixed grid.  Any other grid flag is an error.
+GRID = {
+    "verify": {"sylvester": {"nmax": 6, "kmax": 6}, "F": {"nmax": 6, "kmax": 6},
+               "G": {"nmax": 6, "kmax": 6, "rmax": 10}, "nr8": {}},
+    "scan": {"F-strict": {"nmax": 10, "kmax": 20},
+             "strange": {"nmax": 10, "kmax": 20, "rmax": 3}, "bergeron": {"bound": 6}},
+}
+_GRID_FLAGS = ("nmax", "kmax", "rmax", "bound")
 
 
 def _info(msg: str) -> None:
@@ -49,11 +57,29 @@ def _cache_dir(args: argparse.Namespace) -> Path:
     return resolved if resolved is not None else Path(DEFAULT_CACHE_DIR)
 
 
-def _require_nonnegative_flags(args: argparse.Namespace, flags) -> None:
-    for flag in flags:
+def _read_grid(args: argparse.Namespace, name: str) -> None:
+    """Default the grid flags ``name`` reads; reject a negative one and any
+    other grid flag given."""
+    reads = GRID[args.command][name]
+    foreign = [f"--{flag}" for flag in _GRID_FLAGS
+               if flag not in reads and getattr(args, flag, None) is not None]
+    if foreign:
+        raise ValueError(f"{args.command} {name} does not read {', '.join(foreign)}")
+    for flag, default in reads.items():
         value = getattr(args, flag)
-        if value < 0:
+        if value is None:
+            setattr(args, flag, default)
+        elif value < 0:
             raise ValueError(f"--{flag} must be nonnegative, got {value}")
+
+
+def _add_grid_flags(p: argparse.ArgumentParser, table: dict[str, dict[str, int]]) -> None:
+    for flag in _GRID_FLAGS:
+        readers = [name for name, reads in table.items() if flag in reads]
+        if readers:
+            p.add_argument(f"--{flag}", type=int, default=None,
+                           help=f"read by {', '.join(readers)} "
+                           f"(default: {table[readers[0]][flag]})")
 
 
 def cmd_gauss(args: argparse.Namespace) -> int:
@@ -102,14 +128,7 @@ def _emit_reports(reports, prefix: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    given = [flag for flag in VERIFY_GRID if getattr(args, flag) is not None]
-    if args.suite == "nr8" and given:
-        flags = ", ".join(f"--{flag}" for flag in given)
-        raise ValueError(f"nr8 checks the fixed base grid 8 <= n, r < 16; {flags} not allowed")
-    for flag, default in VERIFY_GRID.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-    _require_nonnegative_flags(args, VERIFY_GRID)
+    _read_grid(args, args.suite)
     if args.suite == "sylvester":
         bad = sylvester_grid_mismatches(args.nmax, args.kmax)
         cells = sum(
@@ -152,7 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    _require_nonnegative_flags(args, ("nmax", "kmax", "rmax", "bound"))
+    _read_grid(args, args.family)
     if args.family == "F-strict":
         reports = scan_conjecture_F_strict(
             args.nmax, args.kmax, args.include_below_range, jobs=args.jobs
@@ -201,10 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("verify", help="Run a verification suite")
-    p.add_argument("suite", choices=["sylvester", "F", "G", "nr8"])
-    for flag, default in VERIFY_GRID.items():
-        p.add_argument(f"--{flag}", type=int, default=None,
-                       help=f"not for nr8 (default: {default})")
+    p.add_argument("suite", choices=list(GRID["verify"]))
+    _add_grid_flags(p, GRID["verify"])
     p.add_argument("--with-kernel", action="store_true",
                    help="nr8 only: also compute the kernel nullity at (8,8,32)")
     p.add_argument("--out", default=None, help="report file prefix (F and G suites)")
@@ -212,11 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="Scan a conjecture family and record findings")
-    p.add_argument("family", choices=["F-strict", "strange", "bergeron"])
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--kmax", type=int, default=20)
-    p.add_argument("--rmax", type=int, default=3)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("family", choices=list(GRID["scan"]))
+    _add_grid_flags(p, GRID["scan"])
     p.add_argument("--include-below-range", action="store_true",
                    help="F-strict only: extend the grid below the conjectured range")
     p.add_argument("--jobs", type=int, default=1,

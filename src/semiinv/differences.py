@@ -39,6 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .boxpartitions import delta
 from .qpoly import (
+    NonnegativityViolation,
     QPoly,
     first_negative_index,
     gauss,
@@ -216,9 +217,10 @@ def _delta_identity_break(poly: QPoly, n: int, k: int) -> int | None:
 def _cell(suite: _Suite, params: tuple[int, ...]) -> ScanReport:
     """Run ``suite``'s checks on one cell in order, up to the first failure.
 
-    A proved suite raises :class:`VerificationError` there.  A recorded
-    suite stores the failure and omits the later checks, since they are
-    not defined on the failing input.
+    A proved suite raises :class:`VerificationError` there, also at a
+    negative coefficient that a shape check meets.  A recorded suite stores
+    the failure and omits the later checks, since they are not defined on
+    the failing input.
     """
     poly = globals()[suite.family](*params)
     named = dict(zip(suite.param_names, params))
@@ -226,8 +228,10 @@ def _cell(suite: _Suite, params: tuple[int, ...]) -> ScanReport:
     witness = None
     for check in suite.checks:
         brk = globals()[_CHECKS[check]]
-        # only the delta identity needs the cell itself
-        witness = brk(poly, *params) if check == "delta_identity" else brk(poly)
+        try:  # only the delta identity needs the cell itself
+            witness = brk(poly, *params) if check == "delta_identity" else brk(poly)
+        except NonnegativityViolation as exc:  # only proved suites skip "nonnegative"
+            witness = exc.index
         checks[check] = witness is None
         if witness is not None:
             if suite.proved:

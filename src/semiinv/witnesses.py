@@ -2,20 +2,22 @@
 
 Triangulation brings a linearly independent family to a form with strictly
 decreasing leading terms under the anti-lexicographic order (same span).
-Because the order is multiplicative, products of triangulated families
-along a staircase have pairwise distinct leading terms, which is the engine
-behind the explicit witness constructions here:
+Every witness here is built from two steps: the kernel triangle of one
+stratum (its triangulated kernel basis, which must hold as many vectors as
+the dimension bound promises) and :func:`lemma_combine`, the staircase
+products of two triangulated families, whose leading terms stay pairwise
+distinct because the order is multiplicative.
 
 * :func:`nr8_witnesses` produces two independent semi-invariants of degree
-  ``r`` and weight ``n*r/2`` for any ``n, r >= 8`` with ``n*r`` even, by a
-  reduction ``r = 8*s + t`` (``8 <= t < 16``) to kernel computations of
-  bounded degree: an eighth-degree semi-invariant is raised to the s-th
-  power and multiplied into a pair from the degree-``t`` cell.
+  ``r`` and weight ``n*r/2`` for any ``n, r >= 8`` with ``n*r`` even: the
+  head of the kernel triangle for ``r < 16``, else, with ``r = 8*s + t``
+  and ``8 <= t < 16``, the staircase of the s-th power of an eighth-degree
+  semi-invariant and the degree-``t`` pair.
 * :func:`strict_witnesses` replays the dimension-gap argument for the
   two-sided difference families: with ``t`` independent semi-invariants
   ``I_1 > ... > I_t`` of degree ``k - r``, weight ``m - n*r/2`` and the
-  pair ``J_1 > J_2`` above, the products ``J_1*I_1, ..., J_1*I_t, J_2*I_t``
-  are ``t + 1`` independent semi-invariants of degree ``k``, weight ``m``.
+  pair ``J_1 > J_2`` above, the staircase ``J_1*I_1, ..., J_1*I_t, J_2*I_t``
+  is ``t + 1`` independent semi-invariants of degree ``k``, weight ``m``.
 
 Every construction returns concretely computed polynomials; nothing is
 taken on faith from the counting side.
@@ -40,12 +42,10 @@ class DependenceError(ValueError):
         self.index = index
 
 
-def _common_n(vs: Sequence[SIPoly]) -> int:
-    n = vs[0].n
+def _common_n(vs: Sequence[SIPoly]) -> None:
     for v in vs[1:]:
-        if v.n != n:
-            raise ValueError(f"mixed form degrees: n={n} vs n={v.n}")
-    return n
+        if v.n != vs[0].n:
+            raise ValueError(f"mixed form degrees: n={vs[0].n} vs n={v.n}")
 
 
 def _reduce(vs: Sequence[SIPoly]) -> list[SIPoly]:
@@ -57,6 +57,7 @@ def _reduce(vs: Sequence[SIPoly]) -> list[SIPoly]:
     integral and a nonzero multiple of the one a rational elimination would
     give; the primitive results are therefore the same.
     """
+    _common_n(vs)
     pivots: dict[tuple[int, ...], SIPoly] = {}
     for idx, v in enumerate(vs):
         w = v.primitive()
@@ -81,17 +82,11 @@ def triangulate(vs: Sequence[SIPoly]) -> list[SIPoly]:
     Input vectors must be linearly independent; a dependent family raises
     :class:`DependenceError` naming the offending index.
     """
-    if not vs:
-        return []
-    _common_n(vs)
     return _reduce(vs)
 
 
 def independence_check(vs: Sequence[SIPoly]) -> bool:
     """Exact linear independence over the union of occurring monomials."""
-    if not vs:
-        return True
-    _common_n(vs)
     try:
         _reduce(vs)
     except DependenceError:
@@ -102,83 +97,6 @@ def independence_check(vs: Sequence[SIPoly]) -> bool:
 def _is_triangulated(vs: Sequence[SIPoly]) -> bool:
     leads = [v.leading_nu()[::-1] for v in vs]
     return all(a < b for a, b in zip(leads, leads[1:]))
-
-
-def nr8_witnesses(
-    n: int, r: int, cache_dir: str | os.PathLike | None = None
-) -> tuple[SIPoly, SIPoly]:
-    """Two independent semi-invariants of degree ``r`` and weight ``n*r/2``.
-
-    Requires ``n, r >= 8`` and ``n*r`` even (a half-integer weight has no
-    meaning here, so odd*odd input is rejected).  For ``r < 16`` the pair
-    comes straight from the kernel of the corresponding cell, whose
-    dimension is at least two; existence for large ``n`` is certified by
-    the box-count conjugation ``p(r, n, .) == p(n, r, .)`` while the
-    vectors themselves are always computed in the ``a_0..a_n`` variables.
-    For ``r >= 16`` the reduction ``r = 8*s + t`` is applied.  The returned
-    pair is ordered by strictly decreasing leading term.
-    """
-    if n < 8 or r < 8:
-        raise ValueError(f"need n, r >= 8, got n={n}, r={r}")
-    if (n * r) % 2:
-        raise ValueError(f"n*r must be even, got n={n}, r={r}")
-    if r < 16:
-        if delta(r, n, n * r // 2) < 2:
-            raise RuntimeError(
-                f"delta({r},{n},{n * r // 2}) < 2: partition counting "
-                "contradicts the guaranteed dimension bound"
-            )
-        kb = kernel_basis_cached(n, r, n * r // 2, cache_dir)
-        tri = triangulate(kb.vectors)
-        return tri[0], tri[1]
-    t = (r % 8) + 8
-    s = (r - t) // 8
-    eighth = triangulate(kernel_basis_cached(n, 8, 4 * n, cache_dir).vectors)[0]
-    j1, j2 = nr8_witnesses(n, t, cache_dir)
-    power = eighth**s
-    w1 = (power * j1).primitive()
-    w2 = (power * j2).primitive()
-    # ordering is recomputed rather than assumed from the construction
-    if not w1.leading_monomial() > w2.leading_monomial():
-        w1, w2 = w2, w1
-    return w1, w2
-
-
-def strict_witnesses(
-    n: int, k: int, r: int, m: int, cache_dir: str | os.PathLike | None = None
-) -> list[SIPoly]:
-    """Explicit independent semi-invariants realizing the dimension gap.
-
-    Requires ``n, r >= 8``, ``k >= r``, ``n*r`` even and
-    ``n*r/2 <= m <= n*k/2``.  With ``t = delta(k-r, n, m - n*r/2)`` the
-    result has ``t + 1`` vectors for ``t > 0`` (the staircase products) and
-    a single directly computed kernel vector for ``t == 0``.  All outputs
-    have degree ``k`` and weight ``m`` and are annihilated by the lowering
-    operator.
-    """
-    if n < 8 or r < 8:
-        raise ValueError(f"need n, r >= 8, got n={n}, r={r}")
-    if k < r:
-        raise ValueError(f"need k >= r, got k={k}, r={r}")
-    if (n * r) % 2:
-        raise ValueError(f"n*r must be even, got n={n}, r={r}")
-    half = n * r // 2
-    if not (half <= m and 2 * m <= n * k):
-        raise ValueError(f"need n*r/2 <= m <= n*k/2, got m={m}")
-    t = delta(k - r, n, m - half)
-    if t == 0:
-        kb = kernel_basis_cached(n, k, m, cache_dir)
-        if kb.dim == 0:
-            raise RuntimeError(
-                f"kernel at (n={n}, k={k}, m={m}) is empty; the strict "
-                "unimodality bound guarantees a vector here"
-            )
-        return [triangulate(kb.vectors)[0]]
-    inner = triangulate(kernel_basis_cached(n, k - r, m - half, cache_dir).vectors)
-    j1, j2 = nr8_witnesses(n, r, cache_dir)
-    out = [(j1 * v).primitive() for v in inner]
-    out.append((j2 * inner[-1]).primitive())
-    return out
 
 
 def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
@@ -200,16 +118,76 @@ def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
     return out
 
 
+def _triangle(
+    n: int, k: int, m: int, d: int, cache_dir: str | os.PathLike | None
+) -> list[SIPoly]:
+    """The triangulated kernel of the (k, m) stratum; ``d`` vectors or more."""
+    tri = triangulate(kernel_basis_cached(n, k, m, cache_dir).vectors)
+    if len(tri) < d:
+        raise RuntimeError(f"kernel at (n={n}, k={k}, m={m}) has {len(tri)} vectors; "
+                           f"the dimension bound guarantees at least {d}")
+    return tri
+
+
+def _check_nr(n: int, r: int) -> None:
+    if n < 8 or r < 8:
+        raise ValueError(f"need n, r >= 8, got n={n}, r={r}")
+    if (n * r) % 2:
+        raise ValueError(f"n*r must be even, got n={n}, r={r}")
+
+
+def nr8_witnesses(
+    n: int, r: int, cache_dir: str | os.PathLike | None = None
+) -> tuple[SIPoly, SIPoly]:
+    """Two independent semi-invariants of degree ``r`` and weight ``n*r/2``.
+
+    Requires ``n, r >= 8`` and ``n*r`` even (a half-integer weight has no
+    meaning here, so odd*odd input is rejected).  For ``r < 16`` the pair
+    is the head of the kernel triangle of the corresponding cell, whose
+    dimension is at least two; existence for large ``n`` is certified by
+    the box-count conjugation ``p(r, n, .) == p(n, r, .)`` while the
+    vectors themselves are always computed in the ``a_0..a_n`` variables.
+    For ``r >= 16`` the reduction ``r = 8*s + t`` is applied.  The returned
+    pair is ordered by strictly decreasing leading term.
+    """
+    _check_nr(n, r)
+    if r < 16:
+        return tuple(_triangle(n, r, n * r // 2, 2, cache_dir)[:2])
+    t = (r % 8) + 8
+    eighth = _triangle(n, 8, 4 * n, 1, cache_dir)[0]
+    return tuple(lemma_combine([eighth ** ((r - t) // 8)], nr8_witnesses(n, t, cache_dir)))
+
+
+def strict_witnesses(
+    n: int, k: int, r: int, m: int, cache_dir: str | os.PathLike | None = None
+) -> list[SIPoly]:
+    """Explicit independent semi-invariants realizing the dimension gap.
+
+    Requires ``n, r >= 8``, ``k >= r``, ``n*r`` even and
+    ``n*r/2 <= m <= n*k/2``.  With ``t = delta(k-r, n, m - n*r/2)`` the
+    result has ``t + 1`` vectors for ``t > 0`` (the staircase products) and
+    a single directly computed kernel vector for ``t == 0``.  All outputs
+    have degree ``k`` and weight ``m`` and are annihilated by the lowering
+    operator.
+    """
+    _check_nr(n, r)
+    if k < r:
+        raise ValueError(f"need k >= r, got k={k}, r={r}")
+    half = n * r // 2
+    if not (half <= m and 2 * m <= n * k):
+        raise ValueError(f"need n*r/2 <= m <= n*k/2, got m={m}")
+    t = delta(k - r, n, m - half)
+    if t == 0:
+        return _triangle(n, k, m, 1, cache_dir)[:1]
+    inner = _triangle(n, k - r, m - half, t, cache_dir)
+    return lemma_combine(nr8_witnesses(n, r, cache_dir), inner)
+
+
 def base_grid_deltas() -> list[tuple[int, int, int]]:
     """Partition-count dimensions on the fixed base grid 8 <= n, r < 16.
 
     Returns ``(n, r, delta(r, n, n*r/2))`` for every cell with ``n*r``
     even, in row-major order.  Every value is expected to be at least two.
     """
-    out = []
-    for n in range(8, 16):
-        for r in range(8, 16):
-            if (n * r) % 2:
-                continue
-            out.append((n, r, delta(r, n, n * r // 2)))
-    return out
+    cells = [(n, r) for n in range(8, 16) for r in range(8, 16) if n * r % 2 == 0]
+    return [(n, r, delta(r, n, n * r // 2)) for n, r in cells]

@@ -18,7 +18,8 @@ def write_run(results, seed, solve_s, written, failed=0):
     metrics["solve_s"] = {"median": solve_s}
     run = {
         "workload": "kernels-cold", "seed": seed, "seconds": 30.0, "smoke": False,
-        "machine": MACHINE, "failed": failed, "problems": [], "metrics": metrics,
+        "machine": MACHINE, "attempted": 10, "failed": failed, "problems": [],
+        "metrics": metrics,
     }
     path = results / f"kernels-cold-seed{seed}-trace0.json"
     path.write_text(json.dumps(run))
@@ -91,3 +92,27 @@ def test_regression_beyond_bound_flagged(tmp_path, change_s, flagged):
     assert entry["worse_by"] == pytest.approx(change_s / 0.50 - 1)
     assert entry["flagged"] is flagged
     assert out["regressions"]["flagged"] == (["kernels-cold:solve_s"] if flagged else [])
+
+
+def test_change_failures_block_the_claim_and_are_flagged(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    for i in range(3):
+        write_run(parent, i, 0.50, 2 * i)
+        write_run(change, i, 0.30, 2 * i + 1)
+    claim = ("kernels-cold", "solve_s")
+
+    def summary():
+        runs = bench_file.load_runs(parent), bench_file.load_runs(change)
+        return bench_file.summarise(*runs, claim)
+
+    out = summary()
+    assert out["claim"]["met"] is True
+    assert out["regressions"]["flagged"] == []
+    # one failed operation in 30 turns a clear speed-up into no claim
+    write_run(change, 1, 0.30, 3, failed=1)
+    out = summary()
+    assert out["workloads"]["kernels-cold"]["fail_ratio"] == {"parent": 0.0, "change": 1 / 30}
+    assert out["claim"]["met"] is False
+    assert out["regressions"]["flagged"] == ["kernels-cold:fail_ratio"]

@@ -170,6 +170,14 @@ class TestKernel:
         assert (again.n, again.k, again.m) == (4, 4, 6)
         assert again.verify()
 
+    def test_verify_rejects_vectors_of_another_stratum(self):
+        vectors = kernel_basis(4, 4, 4).vectors
+        assert KernelBasis(4, 4, 4, vectors).verify()
+        # annihilated by D, but of weight 4 or in a_0..a_4
+        assert not KernelBasis(4, 4, 6, vectors).verify()
+        assert not KernelBasis(4, 5, 4, vectors).verify()
+        assert not KernelBasis(5, 4, 4, vectors).verify()
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             kernel_basis(3, 3, -1)

@@ -8,7 +8,7 @@ import pytest
 
 import semiinv
 from semiinv import cache, differences
-from semiinv.cli import main
+from semiinv.cli import GRID, main
 
 
 def run_cli(capsys, *argv):
@@ -280,15 +280,29 @@ class TestVerifyCommand:
         assert out == ""
         assert not (tmp_path / "x.jsonl").exists()
 
+    # every grid flag given here is one the suite or family does not read
     @pytest.mark.parametrize(
         "flags",
-        [["--nmax", "3"], ["--kmax", "2"], ["--rmax", "10"], ["--nmax", "3", "--kmax", "2"]],
+        [
+            ["verify", "nr8", "--nmax", "3"],
+            ["verify", "nr8", "--kmax", "2"],
+            ["verify", "nr8", "--rmax", "10"],
+            ["verify", "nr8", "--nmax", "3", "--kmax", "2"],
+            ["verify", "sylvester", "--rmax", "3"],
+            ["verify", "F", "--rmax", "3", "--out", "report"],
+            ["scan", "F-strict", "--rmax", "2", "--bound", "1"],
+            ["scan", "strange", "--bound", "2"],
+            ["scan", "bergeron", "--nmax", "3", "--kmax", "2", "--rmax", "1"],
+        ],
     )
-    def test_nr8_rejects_grid_flags(self, capsys, flags):
-        code, out, err = run_cli(capsys, "verify", "nr8", *flags)
+    def test_nr8_rejects_grid_flags(self, capsys, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *flags)
         assert code == 2
         assert out == ""
-        assert all(flag in err for flag in flags[::2])
+        grid = ("--nmax", "--kmax", "--rmax", "--bound")
+        assert all(flag in err for flag in flags[2:] if flag in grid)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "suite, defaults",
@@ -296,10 +310,21 @@ class TestVerifyCommand:
             ("sylvester", ["--nmax", "6", "--kmax", "6"]),
             ("F", ["--nmax", "6", "--kmax", "6"]),
             ("G", ["--nmax", "6", "--kmax", "6", "--rmax", "10"]),
+            ("nr8", []),
+            ("F-strict", ["--nmax", "10", "--kmax", "20"]),
+            ("strange", ["--nmax", "10", "--kmax", "20", "--rmax", "3"]),
+            ("bergeron", ["--bound", "6"]),
         ],
     )
-    def test_grid_defaults(self, capsys, suite, defaults):
-        assert run_cli(capsys, "verify", suite) == run_cli(capsys, "verify", suite, *defaults)
+    def test_grid_defaults(self, capsys, tmp_path, monkeypatch, suite, defaults):
+        command = "scan" if suite in GRID["scan"] else "verify"
+        monkeypatch.chdir(tmp_path)
+
+        def run(*flags):
+            result = run_cli(capsys, command, suite, *flags)
+            return result, {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        assert run() == run(*defaults)
 
 
 class TestScanCommand:
@@ -408,11 +433,20 @@ class TestExitCodeContract:
     def test_verification_failure_exits_three(self, capsys, monkeypatch):
         from semiinv.qpoly import QPoly
 
-        monkeypatch.setattr(differences, "F", lambda n, k: QPoly([1, 2, 1, 2, 1]))
-        code, out, err = run_cli(capsys, "verify", "F", "--nmax", "4", "--kmax", "4")
-        assert code == 3
-        assert out == ""
-        assert "verification failure" in err
+        # a symmetric but not unimodal F, then a negative coefficient in each
+        # verifier: the shape checks meet it before any nonnegativity check
+        cases = [
+            ("F", lambda n, k: QPoly([1, 2, 1, 2, 1]), ["--nmax", "4", "--kmax", "4"]),
+            ("F", lambda n, k: QPoly([1, -1, 1]), ["--nmax", "2", "--kmax", "2"]),
+            ("G", lambda n, k, r: QPoly([1, 2, -1, -1, -1, 2, 1]),
+             ["--nmax", "8", "--kmax", "8", "--rmax", "8"]),
+        ]
+        for family, poly, flags in cases:
+            monkeypatch.setattr(differences, family, poly)
+            code, out, err = run_cli(capsys, "verify", family, *flags)
+            assert code == 3, (family, flags)
+            assert out == ""
+            assert "verification failure" in err
 
     def test_dim_mismatch_exits_three(self, capsys, monkeypatch):
         import semiinv.cli as cli_mod

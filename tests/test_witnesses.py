@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from semiinv import witnesses
 from semiinv.boxpartitions import delta
 from semiinv.cache import canonical_json_bytes, kernel_basis_cached
-from semiinv.cayley import apply_D, kernel_basis
+from semiinv.cayley import KernelBasis, apply_D, kernel_basis
 from semiinv.monomials import Monomial, SIPoly
 from semiinv.witnesses import (
     DependenceError,
@@ -166,11 +167,30 @@ class TestStrictWitnesses:
             strict_witnesses(8, 10, 8, 41)  # m above n*k/2
 
 
+class TestKernelTriangleGuard:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: nr8_witnesses(8, 8), lambda: nr8_witnesses(8, 16),
+         lambda: strict_witnesses(8, 12, 8, 48)],
+        ids=["nr8-8-8", "nr8-8-16", "strict-8-12-8-48"],
+    )
+    def test_too_few_kernel_vectors_raise(self, monkeypatch, build):
+        # every stratum's kernel comes back cut to its first vector, below
+        # the two the nr8 pair and the gap-two staircase need
+        real = witnesses.kernel_basis_cached
+
+        def first_only(n, k, m, cache_dir=None):
+            return KernelBasis(n, k, m, real(n, k, m, cache_dir).vectors[:1])
+
+        monkeypatch.setattr(witnesses, "kernel_basis_cached", first_only)
+        with pytest.raises(RuntimeError, match="guarantees at least 2"):
+            build()
+
+
 class TestWitnessGoldens:
-    # sha256 of each family's canonical JSON; the first three recorded with
-    # tuple-keyed, Fraction-valued SIPoly arithmetic, the last two (the
-    # r >= 16 reduction and a gap-two staircase) with the inline staircases
-    # that lemma_combine replaced
+    # sha256 of each family's canonical JSON, the first three recorded with
+    # tuple-keyed, Fraction-valued SIPoly arithmetic; the last two pin the
+    # r >= 16 reduction and a gap-two staircase
     @pytest.mark.parametrize(
         "build, digest",
         [

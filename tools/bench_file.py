@@ -15,11 +15,14 @@ over the runs' medians.  Each pair records both sides' run medians and
 which side ran first; ``change_wins`` counts the pairs where the change
 reads better.  The claim block applies the usual rule: the change wins at
 least nine in ten pairs, and the gap between the medians exceeds the
-parent's interquartile range.  The regressions block applies the
-no-claim rule to every workload and end-to-end metric: it flags a change
-median that reads worse than the parent's by more than the metric's
-``bound`` in ``BENCHMARK.json`` (a fraction of the parent's median), and
-the tool exits 1 when anything is flagged.  A traced run (``--trace 1``)
+parent's interquartile range, and no workload's fail ratio (failed over
+attempted operations, summed over the side's runs) is higher for the
+change than for the parent.  The regressions block applies the no-claim
+rule to every workload and end-to-end metric: it flags a change median
+that reads worse than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json`` (a fraction of the parent's median), and flags
+``WORKLOAD:fail_ratio`` when the change's fail ratio is the higher; the
+tool exits 1 when anything is flagged.  A traced run (``--trace 1``)
 made on both sides with the same workload and seed adds its per-layer
 medians under ``traced``.
 """
@@ -101,6 +104,11 @@ def summarise(parent: dict, change: dict, claim: tuple[str, str] | None) -> dict
                    for side, r in (("parent", p), ("change", c))},
             })
         entry = {"seeds": seeds, "pairs": pairs, "change_wins": {}}
+        entry["fail_ratio"] = {
+            side: sum(runs[workload, s]["failed"] for s in seeds)
+            / sum(runs[workload, s]["attempted"] for s in seeds)
+            for side, runs in (("parent", parent), ("change", change))
+        }
         for side in ("parent", "change"):
             entry[side] = {m: spread([pr[side][m] for pr in pairs]) for m in BETTER}
         for m in BETTER:
@@ -122,13 +130,15 @@ def summarise(parent: dict, change: dict, claim: tuple[str, str] | None) -> dict
             "relative_change": c["median"] / p["median"] - 1,
             "parent_iqr": p["q3"] - p["q1"],
             "met": wins * 10 >= 9 * n
-            and gain(p["median"], c["median"], metric) > p["q3"] - p["q1"],
+            and gain(p["median"], c["median"], metric) > p["q3"] - p["q1"]
+            and not any(f.endswith(":fail_ratio") for f in out["regressions"]["flagged"]),
         }
     return out
 
 
 def regressions(workloads: dict) -> dict:
-    """Each workload's end-to-end metrics, flagged if worse beyond the bound."""
+    """Each workload's end-to-end metrics, flagged if worse beyond the bound,
+    and its fail ratio, flagged if the change's is the higher."""
     checked, flagged = {}, []
     for workload, entry in workloads.items():
         checked[workload] = {}
@@ -139,6 +149,9 @@ def regressions(workloads: dict) -> dict:
                                     "flagged": worse > BOUND[m]}
             if worse > BOUND[m]:
                 flagged.append(f"{workload}:{m}")
+        ratio = entry["fail_ratio"]
+        if ratio["change"] > ratio["parent"]:
+            flagged.append(f"{workload}:fail_ratio")
     return {"workloads": checked, "flagged": flagged}
 
 
