@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or domain error (a grid flag the suite or
+Exit codes: 0 success, 2 usage or domain error (a flag the suite or
 family does not read included), 3 failed verification, dimension mismatch
 or inexact internal division, 4 I/O failure.  Progress and diagnostics go
 to stderr; data goes to stdout or to files.
@@ -35,13 +35,16 @@ from .qpoly import gauss
 from .witnesses import base_grid_deltas, triangulate
 
 DEFAULT_CACHE_DIR = ".semiinv-cache"
-# command -> suite or family -> the grid flags it reads, with their
-# defaults; nr8 checks a fixed grid.  Any other grid flag is an error.
+# command -> suite or family -> the flags it reads, with their defaults;
+# nr8 checks a fixed grid.  Any other flag of the table is an error.
 GRID = {
-    "verify": {"sylvester": {"nmax": 6, "kmax": 6}, "F": {"nmax": 6, "kmax": 6},
-               "G": {"nmax": 6, "kmax": 6, "rmax": 10}, "nr8": {}},
-    "scan": {"F-strict": {"nmax": 10, "kmax": 20},
-             "strange": {"nmax": 10, "kmax": 20, "rmax": 3}, "bergeron": {"bound": 6}},
+    "verify": {"sylvester": {"nmax": 6, "kmax": 6},
+               "F": {"nmax": 6, "kmax": 6, "out": None},
+               "G": {"nmax": 6, "kmax": 6, "rmax": 10, "out": None},
+               "nr8": {"with_kernel": False, "cache_dir": None}},
+    "scan": {"F-strict": {"nmax": 10, "kmax": 20, "include_below_range": False, "out": None},
+             "strange": {"nmax": 10, "kmax": 20, "rmax": 3, "out": None},
+             "bergeron": {"bound": 6, "out": None}},
 }
 _GRID_FLAGS = ("nmax", "kmax", "rmax", "bound")
 
@@ -57,23 +60,33 @@ def _cache_dir(args: argparse.Namespace) -> Path:
     return resolved if resolved is not None else Path(DEFAULT_CACHE_DIR)
 
 
-def _read_grid(args: argparse.Namespace, name: str) -> None:
-    """Default the grid flags ``name`` reads; reject a negative one and any
-    other grid flag given."""
-    reads = GRID[args.command][name]
-    foreign = [f"--{flag}" for flag in _GRID_FLAGS
-               if flag not in reads and getattr(args, flag, None) is not None]
-    if foreign:
-        raise ValueError(f"{args.command} {name} does not read {', '.join(foreign)}")
-    for flag, default in reads.items():
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _read_flags(args: argparse.Namespace, name: str) -> None:
+    """Default the flags ``name`` reads; reject a negative grid flag and any
+    other flag of the command's table given (argparse leaves those at None)."""
+    table = GRID[args.command]
+    reads = table[name]
+    for flag in reads:
         value = getattr(args, flag)
-        if value is None:
-            setattr(args, flag, default)
-        elif value < 0:
+        if flag in _GRID_FLAGS and value is not None and value < 0:
             raise ValueError(f"--{flag} must be nonnegative, got {value}")
+    flags = dict.fromkeys(flag for suite in table.values() for flag in suite)
+    foreign = [_option(flag) for flag in flags
+               if flag not in reads and getattr(args, flag) is not None]
+    if foreign:
+        raise ValueError(
+            f"{args.command} {name} does not read {', '.join(foreign)}; "
+            f"it reads {', '.join(map(_option, reads))}"
+        )
+    for flag, default in reads.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
 
 
-def _add_grid_flags(p: argparse.ArgumentParser, table: dict[str, dict[str, int]]) -> None:
+def _add_grid_flags(p: argparse.ArgumentParser, table: dict[str, dict]) -> None:
     for flag in _GRID_FLAGS:
         readers = [name for name, reads in table.items() if flag in reads]
         if readers:
@@ -128,7 +141,7 @@ def _emit_reports(reports, prefix: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _read_grid(args, args.suite)
+    _read_flags(args, args.suite)
     if args.suite == "sylvester":
         bad = sylvester_grid_mismatches(args.nmax, args.kmax)
         cells = sum(
@@ -171,7 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    _read_grid(args, args.family)
+    _read_flags(args, args.family)
     if args.family == "F-strict":
         reports = scan_conjecture_F_strict(
             args.nmax, args.kmax, args.include_below_range, jobs=args.jobs
@@ -222,16 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="Run a verification suite")
     p.add_argument("suite", choices=list(GRID["verify"]))
     _add_grid_flags(p, GRID["verify"])
-    p.add_argument("--with-kernel", action="store_true",
+    p.add_argument("--with-kernel", action="store_true", default=None,
                    help="nr8 only: also compute the kernel nullity at (8,8,32)")
     p.add_argument("--out", default=None, help="report file prefix (F and G suites)")
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", default=None, help="nr8 --with-kernel only")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="Scan a conjecture family and record findings")
     p.add_argument("family", choices=list(GRID["scan"]))
     _add_grid_flags(p, GRID["scan"])
-    p.add_argument("--include-below-range", action="store_true",
+    p.add_argument("--include-below-range", action="store_true", default=None,
                    help="F-strict only: extend the grid below the conjectured range")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most one per CPU (default: 1)")

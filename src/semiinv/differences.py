@@ -20,7 +20,9 @@ proved facts: a failure raises with its witness index and would mean a bug
 in this package, not new mathematics.  Scanners only REPORT findings for
 the open conjecture families: a failure is recorded with its index and the
 later checks are skipped.  Grid iteration is row-major and deterministic,
-and parallel runs (one worker per CPU at most) keep grid order.
+and parallel runs (one worker per CPU at most) keep grid order.  The
+process pool is imported only when a run has more than one worker, so
+importing this module, or a serial scan, never loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import csv
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count
@@ -246,6 +247,9 @@ def _run_cells(suite: _Suite, cells: list[tuple], jobs: int) -> list[ScanReport]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(cells) <= 1:
         return [_cell(suite, c) for c in cells]
+    # imported here so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(cells) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(partial(_cell, suite), cells, chunksize=chunksize))

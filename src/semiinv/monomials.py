@@ -181,8 +181,10 @@ class SIPoly:
                 raise ValueError(
                     f"exponent vector {nu} has length {len(nu)}, expected {n + 1}"
                 )
-            if any(v < 0 for v in nu):
-                raise ValueError(f"negative exponent in {nu}")
+            # a float or bool exponent would pass the sign check and break
+            # the packing of keys
+            if any(type(v) is not int or v < 0 for v in nu):
+                raise ValueError(f"exponent vector {nu} must hold nonnegative ints")
             if type(c) is not int:
                 c = Fraction(c)
             if c:

@@ -3,8 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiinv
 from semiinv import cache, differences
@@ -213,10 +217,14 @@ class TestCache:
             lambda obj: cache.canonical_json_bytes(obj).replace(
                 b'"den":"1"', b'"den":"0"', 1
             ),
+            # an exponent that decodes to a float
+            lambda obj: cache.canonical_json_bytes(obj).replace(
+                b'"nu":[0', b'"nu":[0.0', 1
+            ),
         ],
         ids=["truncated", "duplicated", "other-stratum", "doubled", "recombined",
              "swapped", "whitespace", "reordered-keys", "plus-sign",
-             "zero-denominator"],
+             "zero-denominator", "float-exponent"],
     )
     def test_untrusted_basis_recomputed(self, tmp_path, tamper):
         cache.clear_memory_cache()
@@ -234,6 +242,27 @@ class TestCache:
             kb2 = cache.kernel_basis_cached(4, 4, 6, tmp_path)
             assert kb2.vectors == kb.vectors
             assert path.read_bytes() == good
+        finally:
+            cache.clear_memory_cache()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_edit_recomputed(self, data):
+        # one byte replaced, deleted or inserted anywhere in a cache file
+        kb = cache.kernel_basis(4, 4, 6)
+        good = cache.canonical_json_bytes(kb.to_json_obj())
+        edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        at = data.draw(st.integers(0, len(good) - (edit != "insert")))
+        byte = bytes([data.draw(st.integers(0, 255))])
+        tail = good[at + (edit != "insert"):]
+        bad = good[:at] + (b"" if edit == "delete" else byte) + tail
+        cache.clear_memory_cache()
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "kernel_n4_k4_m6.json"
+                path.write_bytes(bad)
+                assert cache.kernel_basis_cached(4, 4, 6, tmp).vectors == kb.vectors
+                assert path.read_bytes() == good
         finally:
             cache.clear_memory_cache()
 
@@ -280,7 +309,7 @@ class TestVerifyCommand:
         assert out == ""
         assert not (tmp_path / "x.jsonl").exists()
 
-    # every grid flag given here is one the suite or family does not read
+    # every case gives a flag the suite or family does not read
     @pytest.mark.parametrize(
         "flags",
         [
@@ -293,6 +322,16 @@ class TestVerifyCommand:
             ["scan", "F-strict", "--rmax", "2", "--bound", "1"],
             ["scan", "strange", "--bound", "2"],
             ["scan", "bergeron", "--nmax", "3", "--kmax", "2", "--rmax", "1"],
+            ["verify", "sylvester", "--nmax", "2", "--kmax", "2", "--with-kernel"],
+            ["verify", "sylvester", "--cache-dir", "c"],
+            ["verify", "F", "--nmax", "2", "--kmax", "2", "--with-kernel"],
+            ["verify", "F", "--cache-dir", "c", "--out", "report"],
+            ["verify", "G", "--nmax", "8", "--kmax", "8", "--rmax", "8", "--with-kernel"],
+            ["verify", "G", "--cache-dir", "c"],
+            ["verify", "nr8", "--out", "report"],
+            ["verify", "nr8", "--with-kernel", "--out", "report"],
+            ["scan", "bergeron", "--bound", "2", "--include-below-range"],
+            ["scan", "strange", "--nmax", "9", "--kmax", "4", "--include-below-range"],
         ],
     )
     def test_nr8_rejects_grid_flags(self, capsys, tmp_path, monkeypatch, flags):
@@ -300,7 +339,8 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, *flags)
         assert code == 2
         assert out == ""
-        grid = ("--nmax", "--kmax", "--rmax", "--bound")
+        grid = ("--nmax", "--kmax", "--rmax", "--bound", "--with-kernel",
+                "--cache-dir", "--out", "--include-below-range")
         assert all(flag in err for flag in flags[2:] if flag in grid)
         assert list(tmp_path.iterdir()) == []
 
@@ -371,6 +411,21 @@ class TestScanCommand:
         assert flag in err
         assert out == ""
         assert not (tmp_path / "x.jsonl").exists()
+
+    def test_parallel_reports_match_serial(self, capsys, tmp_path, monkeypatch):
+        # two workers even on a one-CPU machine
+        monkeypatch.setattr(differences.os, "cpu_count", lambda: 2)
+        reports = {}
+        for jobs in ("1", "2"):
+            prefix = tmp_path / f"j{jobs}"
+            code, _, _ = run_cli(
+                capsys, "scan", "F-strict", "--nmax", "10", "--kmax", "16",
+                "--include-below-range", "--jobs", jobs, "--out", str(prefix),
+            )
+            assert code == 0
+            reports[jobs] = [(tmp_path / f"j{jobs}.{suffix}").read_bytes()
+                             for suffix in ("jsonl", "csv")]
+        assert reports["2"] == reports["1"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, tmp_path, jobs):
@@ -488,3 +543,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1 + q + 2q^2 + q^3 + q^4"
+
+    def test_import_leaves_out_process_pool(self):
+        # a serial run never needs the pool, so start-up does not pay for it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(semiinv.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, semiinv, semiinv.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -324,7 +325,7 @@ class TestScanners:
             def map(self, fn, cells, chunksize=1):
                 return map(fn, cells)
 
-        monkeypatch.setattr(differences, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(differences.os, "cpu_count", lambda: 3)
         serial = scan_bergeron(5)
         assert scan_bergeron(5, jobs=10**6) == serial

@@ -182,6 +182,13 @@ class TestSIPoly:
                 continue
             assert (p * q).leading_monomial() == p.leading_monomial() * q.leading_monomial()
 
+    @pytest.mark.parametrize(
+        "nu", [(1, 0), (1, -1, 0), (0.0, 1, 1), (1, 1.0, 0), (True, 0, 0)]
+    )
+    def test_exponent_vector_validation(self, nu):
+        with pytest.raises(ValueError):
+            SIPoly(2, {nu: 1})
+
     def test_mixed_n_rejected(self):
         with pytest.raises(ValueError):
             SIPoly.constant(2, 1) * SIPoly.constant(3, 1)
