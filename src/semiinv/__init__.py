@@ -1,10 +1,11 @@
 """Exact semi-invariants of binary forms and unimodality verification.
 
-Everything in this package is exact arithmetic over Python integers and
-fractions: Gaussian coefficients and their difference families, partition
-counting in a box, the lowering-operator kernel (semi-invariant bases)
-via fraction-free sparse elimination, and the witness constructions and
-grid verifiers built on top.
+Everything in this package is exact integer arithmetic: Gaussian
+coefficients and their difference families, partition counting in a box,
+the lowering-operator kernel (semi-invariant bases) via fraction-free
+sparse elimination, and the witness constructions and grid verifiers
+built on top.  Fractions appear only in ``shear_check``, which evaluates
+a semi-invariant at rational points.
 """
 
 from .boxpartitions import (

@@ -72,7 +72,7 @@ def _load_valid(path: Path, n: int, k: int, m: int) -> KernelBasis | None:
     try:
         data = path.read_bytes()
         kb = KernelBasis.from_json_obj(json.loads(data))
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
     if (kb.n, kb.k, kb.m) != (n, k, m):
         return None

@@ -52,7 +52,7 @@ from operator import mul
 from typing import Sequence
 
 from .boxpartitions import _stratum_keys, delta
-from .monomials import Coeff, SIPoly, _nonzero, _width
+from .monomials import SIPoly, _nonzero, _width
 
 
 class SylvesterMismatchError(RuntimeError):
@@ -74,7 +74,7 @@ def apply_D(p: SIPoly) -> SIPoly:
     w = _width(p._deg)
     mask = (1 << w) - 1
     steps = _lowering_steps(p.n, w)
-    out: dict[int, Coeff] = {}
+    out: dict[int, int] = {}
     get = out.get
     for key, c in p._terms.items():
         for i, shift, step in steps:
@@ -332,7 +332,9 @@ def semiinvariant_dim(n: int, k: int, m: int) -> int:
     return len(_eliminate(n, k, m)[2])
 
 
-def shear_coefficients(a: Sequence[Coeff], h: Coeff) -> list[Fraction]:
+def shear_coefficients(
+    a: Sequence[int | Fraction], h: int | Fraction
+) -> list[Fraction]:
     """Coefficients of the form after the shear ``x -> x + h*y``.
 
     ``a_i' = sum_j C(i, j) * a_{i-j} * h**j``.
@@ -348,7 +350,7 @@ def shear_coefficients(a: Sequence[Coeff], h: Coeff) -> list[Fraction]:
     return out
 
 
-def shear_check(p: SIPoly, h: Coeff, a: Sequence[Coeff]) -> bool:
+def shear_check(p: SIPoly, h: int | Fraction, a: Sequence[int | Fraction]) -> bool:
     """Exact test that ``p`` takes equal values before and after a shear.
 
     This is an independent witness of semi-invariance that involves no

@@ -142,6 +142,8 @@ def _emit_reports(reports, prefix: str | None) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _read_flags(args, args.suite)
+    if args.suite == "nr8" and args.cache_dir is not None and not args.with_kernel:
+        raise ValueError("verify nr8 reads --cache-dir only with --with-kernel")
     if args.suite == "sylvester":
         bad = sylvester_grid_mismatches(args.nmax, args.kmax)
         cells = sum(

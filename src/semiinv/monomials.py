@@ -17,9 +17,9 @@ The order is multiplicative (M1 > M2 implies M1*S > M2*S), so the leading
 term of a product is the product of the leading terms.  That fact is what
 makes leading-term triangulation of semi-invariant bases work.
 
-:class:`SIPoly` is a sparse polynomial over these monomials with exact
-rational coefficients: a plain ``int`` when integral, a
-:class:`fractions.Fraction` (lowest terms, positive denominator) otherwise.
+:class:`SIPoly` is a sparse polynomial over these monomials with ``int``
+coefficients, as every semi-invariant the library builds is integral;
+only :meth:`SIPoly.evaluate`, at a rational point, leaves the integers.
 Each exponent vector is stored as one packed int key, ``nu_i`` in bits
 ``[w*i, w*(i+1))`` and so ``nu_n`` in the most significant slot; ascending
 key order is then descending monomial order, the leading monomial has the
@@ -38,8 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
+
+
+def _check_exponents(nu: tuple) -> None:
+    # a float or bool exponent would pass a sign check and break key packing
+    if any(type(v) is not int or v < 0 for v in nu):
+        raise ValueError(f"exponent vector {nu} must hold nonnegative ints")
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,7 @@ class Monomial:
     def __post_init__(self):
         if not self.nu:
             raise ValueError("exponent vector must have length n+1 >= 1")
-        if any(v < 0 for v in self.nu):
-            raise ValueError("negative exponent")
+        _check_exponents(self.nu)
 
     @property
     def n(self) -> int:
@@ -102,9 +107,6 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-Coeff = Fraction | int
-
-
 def _width(deg: int) -> int:
     """Bits per exponent slot for terms of total degree at most ``deg``.
 
@@ -136,7 +138,7 @@ def _unpack(keys: Iterable[int], n: int, w: int) -> Iterator[tuple[int, ...]]:
     return zip(*slots)
 
 
-def _repack(terms: dict[int, Coeff], n: int, w: int, w_new: int) -> dict[int, Coeff]:
+def _repack(terms: dict[int, int], n: int, w: int, w_new: int) -> dict[int, int]:
     """The same terms keyed at slot width ``w_new >= w``."""
     if w == w_new:
         return terms
@@ -147,29 +149,25 @@ def _repack(terms: dict[int, Coeff], n: int, w: int, w_new: int) -> dict[int, Co
     }
 
 
-def _nonzero(terms: dict[int, Coeff]) -> dict[int, Coeff]:
-    """Drop zero coefficients and turn integral Fractions into ints."""
-    return {
-        key: c if type(c) is int or c.denominator != 1 else c.numerator
-        for key, c in terms.items()
-        if c
-    }
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    """Drop zero coefficients."""
+    return {key: c for key, c in terms.items() if c}
 
 
 class SIPoly:
-    """Sparse polynomial in ``a_0..a_n`` with exact rational coefficients.
+    """Sparse polynomial in ``a_0..a_n`` with integer coefficients.
 
-    Terms are a map from packed exponent vectors to nonzero coefficients,
-    each a plain ``int`` when integral and a
-    :class:`~fractions.Fraction` otherwise.  ``_deg`` bounds the total
-    degree of every term and fixes the slot width of the keys; the public
-    interface speaks in exponent tuples of length ``n+1`` only.  Instances
-    are immutable by convention; arithmetic returns fresh objects.
+    Terms are a map from packed exponent vectors to nonzero ``int``
+    coefficients; a rational, float or bool coefficient or scalar factor
+    is rejected.  ``_deg`` bounds the total degree of every term and fixes
+    the slot width of the keys; the public interface speaks in exponent
+    tuples of length ``n+1`` only.  Instances are immutable by convention;
+    arithmetic returns fresh objects.
     """
 
     __slots__ = ("n", "_deg", "_terms")
 
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Coeff] | Iterable = ()):
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | Iterable = ()):
         if n < 0:
             raise ValueError("form degree n must be nonnegative")
         self.n = n
@@ -181,17 +179,14 @@ class SIPoly:
                 raise ValueError(
                     f"exponent vector {nu} has length {len(nu)}, expected {n + 1}"
                 )
-            # a float or bool exponent would pass the sign check and break
-            # the packing of keys
-            if any(type(v) is not int or v < 0 for v in nu):
-                raise ValueError(f"exponent vector {nu} must hold nonnegative ints")
+            _check_exponents(nu)
             if type(c) is not int:
-                c = Fraction(c)
+                raise ValueError(f"coefficient {c!r} of {nu} must be an int")
             if c:
                 pairs.append((nu, c))
         self._deg = max((sum(nu) for nu, _ in pairs), default=0)
         w = _width(self._deg)
-        acc: dict[int, Coeff] = {}
+        acc: dict[int, int] = {}
         for nu, c in pairs:
             key = _pack(nu, w)
             acc[key] = acc.get(key, 0) + c
@@ -202,11 +197,11 @@ class SIPoly:
         return cls(n)
 
     @classmethod
-    def constant(cls, n: int, c: Coeff = 1) -> "SIPoly":
+    def constant(cls, n: int, c: int = 1) -> "SIPoly":
         return cls(n, {(0,) * (n + 1): c})
 
     @classmethod
-    def term(cls, n: int, nu: Sequence[int], c: Coeff = 1) -> "SIPoly":
+    def term(cls, n: int, nu: Sequence[int], c: int = 1) -> "SIPoly":
         return cls(n, {tuple(nu): c})
 
     @classmethod
@@ -217,7 +212,7 @@ class SIPoly:
         return cls(n, {tuple(nu): 1})
 
     @classmethod
-    def _from_keys(cls, n: int, deg: int, terms: dict[int, Coeff]) -> "SIPoly":
+    def _from_keys(cls, n: int, deg: int, terms: dict[int, int]) -> "SIPoly":
         """Wrap nonzero ``terms`` keyed at width ``_width(deg)``, unchecked."""
         p = cls.__new__(cls)
         p.n = n
@@ -225,18 +220,18 @@ class SIPoly:
         p._terms = terms
         return p
 
-    def _wrap(self, terms: dict[int, Coeff], deg: int | None = None) -> "SIPoly":
+    def _wrap(self, terms: dict[int, int], deg: int | None = None) -> "SIPoly":
         return SIPoly._from_keys(self.n, self._deg if deg is None else deg, terms)
 
-    def _at(self, w: int) -> dict[int, Coeff]:
+    def _at(self, w: int) -> dict[int, int]:
         """Terms keyed at slot width ``w`` (at least this polynomial's)."""
         return _repack(self._terms, self.n, _width(self._deg), w)
 
-    def items(self) -> Iterator[tuple[tuple[int, ...], Coeff]]:
+    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         terms = self._terms
         return zip(_unpack(terms, self.n, _width(self._deg)), terms.values())
 
-    def coefficient(self, nu: Sequence[int]) -> Coeff:
+    def coefficient(self, nu: Sequence[int]) -> int:
         if len(nu) != self.n + 1:
             return 0
         try:
@@ -286,18 +281,17 @@ class SIPoly:
     def __neg__(self) -> "SIPoly":
         return self._wrap({key: -c for key, c in self._terms.items()})
 
-    def scale(self, c: Coeff) -> "SIPoly":
-        c = Fraction(c)
+    def scale(self, c: int) -> "SIPoly":
+        if type(c) is not int:
+            raise TypeError(f"scale factor {c!r} must be an int")
+        if c == 1:
+            return self
         if not c:
             return SIPoly(self.n)
-        if c.denominator == 1:
-            c = c.numerator
-            if c == 1:
-                return self
-        return self._wrap(_nonzero({key: c * v for key, v in self._terms.items()}))
+        return self._wrap({key: c * v for key, v in self._terms.items()})
 
-    def __mul__(self, other: "SIPoly | Coeff") -> "SIPoly":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "SIPoly | int") -> "SIPoly":
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, SIPoly):
             return NotImplemented
@@ -306,7 +300,7 @@ class SIPoly:
         deg = self._deg + other._deg
         w = _width(deg)
         right = list(other._at(w).items())
-        acc: dict[int, Coeff] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for k1, c1 in self._at(w).items():
             for k2, c2 in right:
@@ -314,8 +308,8 @@ class SIPoly:
                 acc[key] = get(key, 0) + c1 * c2
         return self._wrap(_nonzero(acc), deg)
 
-    def __rmul__(self, other: Coeff) -> "SIPoly":
-        if isinstance(other, (int, Fraction)):
+    def __rmul__(self, other: int) -> "SIPoly":
+        if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
@@ -340,7 +334,7 @@ class SIPoly:
     def leading_monomial(self) -> Monomial:
         return Monomial(self.leading_nu())
 
-    def leading_coefficient(self) -> Coeff:
+    def leading_coefficient(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         return self._terms[min(self._terms)]
@@ -358,8 +352,8 @@ class SIPoly:
                 raise ValueError("polynomial is not homogeneous in degree and weight")
         return k, m
 
-    def evaluate(self, values: Sequence[Coeff]) -> Fraction:
-        """Exact evaluation at a point ``(a_0, ..., a_n)``."""
+    def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
+        """Exact evaluation at a rational point ``(a_0, ..., a_n)``."""
         if len(values) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} values, got {len(values)}")
         vals = [Fraction(v) for v in values]
@@ -373,22 +367,18 @@ class SIPoly:
         return total
 
     def primitive(self) -> "SIPoly":
-        """Canonical scaling: coprime integer coefficients, leading one positive."""
+        """Canonical scaling: coprime coefficients, leading one positive."""
         terms = self._terms
         if not terms:
             return self
-        ints = terms
-        if Fraction in set(map(type, terms.values())):
-            den = lcm(*(c.denominator for c in terms.values()))
-            ints = {key: (c * den).numerator for key, c in terms.items()}
-        g = gcd(*ints.values())
-        if ints[min(ints)] < 0:
+        g = gcd(*terms.values())
+        if terms[min(terms)] < 0:
             g = -g
         if g == 1:
-            return self if ints is terms else self._wrap(ints)
-        return self._wrap({key: v // g for key, v in ints.items()})
+            return self
+        return self._wrap({key: v // g for key, v in terms.items()})
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending anti-lexicographic monomial order."""
         terms = self._terms
         keys = sorted(terms)
@@ -417,17 +407,17 @@ class SIPoly:
         return f"SIPoly(n={self.n}, {len(self._terms)} terms)"
 
     def to_json_list(self) -> list[dict]:
-        """JSON form: terms sorted descending, numerators/denominators as strings."""
-        return [
-            {"nu": list(nu), "num": str(c.numerator), "den": str(c.denominator)}
-            for nu, c in self.sorted_terms()
-        ]
+        """JSON form: terms sorted descending, ``num`` strings over ``den`` "1"."""
+        terms = self.sorted_terms()
+        return [{"nu": list(nu), "num": str(c), "den": "1"} for nu, c in terms]
 
     @classmethod
     def from_json_list(cls, n: int, obj: Iterable[dict]) -> "SIPoly":
+        """Inverse of :meth:`to_json_list`; a ``den`` other than "1" raises."""
         terms = {}
         for t in obj:
-            num, den = int(t["num"]), int(t["den"])
-            terms[tuple(t["nu"])] = num if den == 1 else Fraction(num, den)
+            if t["den"] != "1":
+                raise ValueError(f"denominator {t['den']!r} is not \"1\"")
+            terms[tuple(t["nu"])] = int(t["num"])
         return cls(n, terms)
 

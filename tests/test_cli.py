@@ -221,10 +221,14 @@ class TestCache:
             lambda obj: cache.canonical_json_bytes(obj).replace(
                 b'"nu":[0', b'"nu":[0.0', 1
             ),
+            # a coefficient that is not an integer
+            lambda obj: cache.canonical_json_bytes(obj).replace(
+                b'"den":"1"', b'"den":"2"', 1
+            ),
         ],
         ids=["truncated", "duplicated", "other-stratum", "doubled", "recombined",
              "swapped", "whitespace", "reordered-keys", "plus-sign",
-             "zero-denominator", "float-exponent"],
+             "zero-denominator", "float-exponent", "fractional-coefficient"],
     )
     def test_untrusted_basis_recomputed(self, tmp_path, tamper):
         cache.clear_memory_cache()
@@ -332,6 +336,7 @@ class TestVerifyCommand:
             ["verify", "nr8", "--with-kernel", "--out", "report"],
             ["scan", "bergeron", "--bound", "2", "--include-below-range"],
             ["scan", "strange", "--nmax", "9", "--kmax", "4", "--include-below-range"],
+            ["verify", "nr8", "--cache-dir", "c"],
         ],
     )
     def test_nr8_rejects_grid_flags(self, capsys, tmp_path, monkeypatch, flags):
@@ -343,6 +348,17 @@ class TestVerifyCommand:
                 "--cache-dir", "--out", "--include-below-range")
         assert all(flag in err for flag in flags[2:] if flag in grid)
         assert list(tmp_path.iterdir()) == []
+
+    def test_nr8_with_kernel_reads_cache_dir(self, capsys, tmp_path):
+        cache.clear_memory_cache()
+        try:
+            code, out, _ = run_cli(capsys, "verify", "nr8", "--with-kernel",
+                                   "--cache-dir", str(tmp_path))
+        finally:
+            cache.clear_memory_cache()
+        assert code == 0
+        assert "kernel nullity at (8,8,32) = " in out
+        assert [p.name for p in tmp_path.iterdir()] == ["kernel_n8_k8_m32.json"]
 
     @pytest.mark.parametrize(
         "suite, defaults",

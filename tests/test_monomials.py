@@ -104,10 +104,10 @@ class TestMonomial:
             assert m.weight == 5
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Monomial(())
-        with pytest.raises(ValueError):
-            Monomial((1, -1))
+        # empty, negative, and a float or bool that passes a sign check
+        for nu in [(), (1, -1), (0.0, 2), (True, 1)]:
+            with pytest.raises(ValueError):
+                Monomial(nu)
 
     def test_str(self):
         assert str(Monomial((0, 2, 2, 0, 0))) == "a1^2*a2^2"
@@ -121,7 +121,7 @@ class TestSIPoly:
         assert p.coefficient((0, 1, 0)) == 0
 
     def test_add_cancel(self):
-        p = SIPoly(2, {(2, 0, 0): Fraction(1, 2)})
+        p = SIPoly(2, {(2, 0, 0): 7, (0, 1, 1): -3})
         assert (p + p.scale(-1)).is_zero()
         assert (p - p).is_zero()
 
@@ -202,41 +202,64 @@ class TestSIPoly:
         assert p**3 == p * p * p
 
     def test_evaluate(self):
-        p = SIPoly(2, {(1, 2, 0): 1, (0, 0, 1): Fraction(1, 3)})
-        assert p.evaluate([2, 3, 6]) == 2 * 9 + 2
+        p = SIPoly(2, {(1, 2, 0): 1, (0, 0, 1): 3})
+        assert p.evaluate([2, 3, 6]) == 2 * 9 + 18
+        # a rational point gives an exact rational value
+        assert p.evaluate([Fraction(1, 2), 3, Fraction(1, 9)]) == Fraction(29, 6)
 
     def test_primitive_scaling(self):
-        p = SIPoly(2, {(1, 2, 0): Fraction(-2, 3), (0, 0, 1): Fraction(4, 9)})
+        p = SIPoly(2, {(1, 2, 0): -6, (0, 0, 1): 4})
         prim = p.primitive()
         # a0*a1^2 is the leading monomial, so its coefficient turns positive
         assert prim.leading_coefficient() == 3
         assert prim.coefficient((0, 0, 1)) == -2
-        # a rational rescaling of p has the same primitive form
-        assert p.scale(Fraction(-7, 5)).primitive() == prim
+        # an integer rescaling of p has the same primitive form
+        assert p.scale(-35).primitive() == prim
 
     def test_json_round_trip_and_sorted_output(self):
-        p = SIPoly(4, I1_TERMS).scale(Fraction(1, 3))
+        p = SIPoly(4, I1_TERMS).scale(3)
         obj = p.to_json_list()
         nus = [tuple(t["nu"]) for t in obj]
         assert nus == sorted(nus, key=lambda nu: nu[::-1])
         q = SIPoly.from_json_list(4, json.loads(json.dumps(obj)))
         assert q == p
+        assert {t["den"] for t in obj} == {"1"}
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(2), 0.5, True])
+    def test_non_int_coefficient_rejected(self, c):
+        with pytest.raises(ValueError):
+            SIPoly(2, {(1, 0, 0): c})
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda p: p.scale(Fraction(1, 2)), lambda p: p * Fraction(1, 2),
+         lambda p: Fraction(1, 2) * p, lambda p: p.scale(2.0), lambda p: p * 0.5],
+        ids=["scale", "mul", "rmul", "scale-float", "mul-float"],
+    )
+    def test_non_int_scalar_rejected(self, op):
+        with pytest.raises(TypeError):
+            op(SIPoly(4, I1_TERMS))
+
+    @pytest.mark.parametrize("den", ["2", "01", "-1", 1])
+    def test_json_denominator_other_than_one_rejected(self, den):
+        obj = SIPoly(4, I1_TERMS).to_json_list()
+        obj[0]["den"] = den
+        with pytest.raises(ValueError):
+            SIPoly.from_json_list(4, obj)
 
 
 # exponents at and past the slot widths that degrees 1..64 give (1..7 bits)
 EXPONENTS = st.one_of(
     st.integers(0, 3), st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64])
 )
-COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+COEFFS = st.integers(-6, 6)
 
 
 def same(p, ref):
-    """``p`` has ``ref``'s terms in ``ref``'s order, ints where integral."""
+    """``p`` has ``ref``'s terms in ``ref``'s order, every coefficient an int."""
     terms = p.sorted_terms()
     assert terms == ref.sorted_terms()
-    assert all(
-        type(c) is (int if c.denominator == 1 else Fraction) for _, c in terms
-    )
+    assert all(type(c) is int for _, c in terms)
     assert dict(p.items()) == ref.terms
     return True
 
