@@ -72,7 +72,8 @@ def _load_valid(path: Path, n: int, k: int, m: int) -> KernelBasis | None:
     try:
         data = path.read_bytes()
         kb = KernelBasis.from_json_obj(json.loads(data))
-    except (OSError, ValueError, KeyError, TypeError):
+    # OverflowError: int() of a JSON number that decodes to an infinite float
+    except (OSError, ValueError, KeyError, TypeError, OverflowError):
         return None
     if (kb.n, kb.k, kb.m) != (n, k, m):
         return None

@@ -1,14 +1,20 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or domain error (a flag the suite or
-family does not read included), 3 failed verification, dimension mismatch
-or inexact internal division, 4 I/O failure.  Progress and diagnostics go
-to stderr; data goes to stdout or to files.
+``verify`` and ``scan`` take one subcommand per suite or family; it reads
+only its own flags, given after its name (``semiinv verify F --nmax 8``),
+and ``semiinv verify F --help`` lists them.
+
+Exit codes: 0 success, 2 usage or domain error (a flag the suite or family
+does not read, or one given before the suite name, included), 3 failed
+verification, dimension mismatch or inexact internal division, 4 I/O
+failure.  Progress and diagnostics go to stderr; data goes to stdout or
+to files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,18 +41,6 @@ from .qpoly import gauss
 from .witnesses import base_grid_deltas, triangulate
 
 DEFAULT_CACHE_DIR = ".semiinv-cache"
-# command -> suite or family -> the flags it reads, with their defaults;
-# nr8 checks a fixed grid.  Any other flag of the table is an error.
-GRID = {
-    "verify": {"sylvester": {"nmax": 6, "kmax": 6},
-               "F": {"nmax": 6, "kmax": 6, "out": None},
-               "G": {"nmax": 6, "kmax": 6, "rmax": 10, "out": None},
-               "nr8": {"with_kernel": False, "cache_dir": None}},
-    "scan": {"F-strict": {"nmax": 10, "kmax": 20, "include_below_range": False, "out": None},
-             "strange": {"nmax": 10, "kmax": 20, "rmax": 3, "out": None},
-             "bergeron": {"bound": 6, "out": None}},
-}
-_GRID_FLAGS = ("nmax", "kmax", "rmax", "bound")
 
 
 def _info(msg: str) -> None:
@@ -60,39 +54,14 @@ def _cache_dir(args: argparse.Namespace) -> Path:
     return resolved if resolved is not None else Path(DEFAULT_CACHE_DIR)
 
 
-def _option(flag: str) -> str:
-    return "--" + flag.replace("_", "-")
-
-
-def _read_flags(args: argparse.Namespace, name: str) -> None:
-    """Default the flags ``name`` reads; reject a negative grid flag and any
-    other flag of the command's table given (argparse leaves those at None)."""
-    table = GRID[args.command]
-    reads = table[name]
-    for flag in reads:
-        value = getattr(args, flag)
-        if flag in _GRID_FLAGS and value is not None and value < 0:
-            raise ValueError(f"--{flag} must be nonnegative, got {value}")
-    flags = dict.fromkeys(flag for suite in table.values() for flag in suite)
-    foreign = [_option(flag) for flag in flags
-               if flag not in reads and getattr(args, flag) is not None]
-    if foreign:
-        raise ValueError(
-            f"{args.command} {name} does not read {', '.join(foreign)}; "
-            f"it reads {', '.join(map(_option, reads))}"
-        )
-    for flag, default in reads.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-
-
-def _add_grid_flags(p: argparse.ArgumentParser, table: dict[str, dict]) -> None:
-    for flag in _GRID_FLAGS:
-        readers = [name for name, reads in table.items() if flag in reads]
-        if readers:
-            p.add_argument(f"--{flag}", type=int, default=None,
-                           help=f"read by {', '.join(readers)} "
-                           f"(default: {table[readers[0]][flag]})")
+def _at_least(low: int):
+    """An argparse ``type`` reading an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def cmd_gauss(args: argparse.Namespace) -> int:
@@ -132,40 +101,45 @@ def cmd_basis(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_reports(reports, prefix: str | None) -> None:
-    if not prefix:
-        return
+def _write_reports(reports, prefix: str) -> str:
     write_jsonl(reports, f"{prefix}.jsonl")
     write_csv(reports, f"{prefix}.csv")
-    _info(f"wrote {prefix}.jsonl and {prefix}.csv")
+    return f"wrote {prefix}.jsonl and {prefix}.csv"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    _read_flags(args, args.suite)
-    if args.suite == "nr8" and args.cache_dir is not None and not args.with_kernel:
+def _verify_sylvester(args: argparse.Namespace) -> int:
+    bad = sylvester_grid_mismatches(args.nmax, args.kmax)
+    cells = sum(
+        n * k // 2 + 1 for n in range(args.nmax + 1) for k in range(args.kmax + 1)
+    )
+    if bad:
+        for n, k, m, d, dim in bad:
+            print(f"MISMATCH n={n} k={k} m={m} delta={d} kernel={dim}")
+        return 3
+    print(f"sylvester: {cells} cells, delta == kernel nullity everywhere")
+    return 0
+
+
+def _verify_F(args: argparse.Namespace) -> int:
+    reports = verify_theorem_F(args.nmax, args.kmax)
+    if args.out:
+        _info(_write_reports(reports, args.out))
+    print(f"F: {len(reports)} cells symmetric, unimodal, delta-consistent")
+    return 0
+
+
+def _verify_G(args: argparse.Namespace) -> int:
+    reports = verify_theorem_G(args.nmax, args.kmax, args.rmax)
+    if args.out:
+        _info(_write_reports(reports, args.out))
+    print(f"G: {len(reports)} cells symmetric and strictly unimodal except ends")
+    return 0
+
+
+def _verify_nr8(args: argparse.Namespace) -> int:
+    if args.cache_dir is not None and not args.with_kernel:
         raise ValueError("verify nr8 reads --cache-dir only with --with-kernel")
-    if args.suite == "sylvester":
-        bad = sylvester_grid_mismatches(args.nmax, args.kmax)
-        cells = sum(
-            n * k // 2 + 1 for n in range(args.nmax + 1) for k in range(args.kmax + 1)
-        )
-        if bad:
-            for n, k, m, d, dim in bad:
-                print(f"MISMATCH n={n} k={k} m={m} delta={d} kernel={dim}")
-            return 3
-        print(f"sylvester: {cells} cells, delta == kernel nullity everywhere")
-        return 0
-    if args.suite == "F":
-        reports = verify_theorem_F(args.nmax, args.kmax)
-        _emit_reports(reports, args.out)
-        print(f"F: {len(reports)} cells symmetric, unimodal, delta-consistent")
-        return 0
-    if args.suite == "G":
-        reports = verify_theorem_G(args.nmax, args.kmax, args.rmax)
-        _emit_reports(reports, args.out)
-        print(f"G: {len(reports)} cells symmetric and strictly unimodal except ends")
-        return 0
-    # nr8: fixed base grid 8 <= n, r < 16 with n*r even
+    # fixed base grid 8 <= n, r < 16 with n*r even
     rows = base_grid_deltas()
     bad = [(n, r, d) for n, r, d in rows if d < 2]
     for n, r, d in rows:
@@ -183,27 +157,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    _read_flags(args, args.family)
-    if args.family == "F-strict":
-        reports = scan_conjecture_F_strict(
-            args.nmax, args.kmax, args.include_below_range, jobs=args.jobs
-        )
-    elif args.family == "strange":
-        reports = scan_strange(args.nmax, args.kmax, args.rmax, jobs=args.jobs)
-    else:
-        reports = scan_bergeron(args.bound, jobs=args.jobs)
-    prefix = args.out or f"scan-{args.family}"
-    write_jsonl(reports, f"{prefix}.jsonl")
-    write_csv(reports, f"{prefix}.csv")
+def _write_scan(args: argparse.Namespace, reports) -> int:
+    written = _write_reports(reports, args.out or f"scan-{args.family}")
     failing = sum(1 for r in reports if not r.passed)
     _info(f"{len(reports)} cells scanned, {failing} with findings")
-    print(f"wrote {prefix}.jsonl and {prefix}.csv")
+    print(written)
     return 0
 
 
+def _scan_F_strict(args: argparse.Namespace) -> int:
+    return _write_scan(args, scan_conjecture_F_strict(
+        args.nmax, args.kmax, args.include_below_range, jobs=args.jobs
+    ))
+
+
+def _scan_strange(args: argparse.Namespace) -> int:
+    return _write_scan(args, scan_strange(args.nmax, args.kmax, args.rmax, jobs=args.jobs))
+
+
+def _scan_bergeron(args: argparse.Namespace) -> int:
+    return _write_scan(args, scan_bergeron(args.bound, jobs=args.jobs))
+
+
+def _command(sub, name: str, func, summary: str | None = None,
+             **grid: int) -> argparse.ArgumentParser:
+    """A subcommand running ``func``; ``grid`` maps nonnegative flags to defaults."""
+    p = sub.add_parser(name, help=summary)
+    for flag, default in grid.items():
+        p.add_argument(f"--{flag}", type=_at_least(0), default=default,
+                       help=f"default: {default}")
+    # main reports a flag this subcommand does not read through its parser
+    p.set_defaults(func=func, parser=p)
+    return p
+
+
+# built once per process: a caller may run main many times (the benchmark,
+# the tests); the parser keeps no state between parses
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiinv",
@@ -214,52 +204,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gauss", help="Print a Gaussian coefficient")
+    p = _command(sub, "gauss", cmd_gauss, "Print a Gaussian coefficient")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--format", choices=["human", "json"], default="human")
-    p.set_defaults(func=cmd_gauss)
 
-    p = sub.add_parser("dim", help="Compare partition delta with kernel nullity")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_dim)
+    p = _command(sub, "dim", cmd_dim, "Compare partition delta with kernel nullity")
+    for name in ("n", "k", "m"):
+        p.add_argument(name, type=int)
 
-    p = sub.add_parser("basis", help="Write a triangulated kernel basis as JSON")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--cache-dir", default=None, help=f"default: ${cache.ENV_VAR} or {DEFAULT_CACHE_DIR}")
-    p.set_defaults(func=cmd_basis)
+    p = _command(sub, "basis", cmd_basis, "Write a triangulated kernel basis as JSON")
+    for name in ("n", "k", "m"):
+        p.add_argument(name, type=int)
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--cache-dir", help=f"default: ${cache.ENV_VAR} or {DEFAULT_CACHE_DIR}")
 
-    p = sub.add_parser("verify", help="Run a verification suite")
-    p.add_argument("suite", choices=list(GRID["verify"]))
-    _add_grid_flags(p, GRID["verify"])
-    p.add_argument("--with-kernel", action="store_true", default=None,
-                   help="nr8 only: also compute the kernel nullity at (8,8,32)")
-    p.add_argument("--out", default=None, help="report file prefix (F and G suites)")
-    p.add_argument("--cache-dir", default=None, help="nr8 --with-kernel only")
-    p.set_defaults(func=cmd_verify)
+    suites = sub.add_parser("verify", help="Run a verification suite").add_subparsers(
+        dest="suite", required=True
+    )
+    _command(suites, "sylvester", _verify_sylvester, nmax=6, kmax=6)
+    for p in (_command(suites, "F", _verify_F, nmax=6, kmax=6),
+              _command(suites, "G", _verify_G, nmax=6, kmax=6, rmax=10)):
+        p.add_argument("--out", help="report file prefix (default: no report)")
+    p = _command(suites, "nr8", _verify_nr8)
+    p.add_argument("--with-kernel", action="store_true",
+                   help="also compute the kernel nullity at (8,8,32)")
+    p.add_argument("--cache-dir", help="read only with --with-kernel")
 
-    p = sub.add_parser("scan", help="Scan a conjecture family and record findings")
-    p.add_argument("family", choices=list(GRID["scan"]))
-    _add_grid_flags(p, GRID["scan"])
-    p.add_argument("--include-below-range", action="store_true", default=None,
-                   help="F-strict only: extend the grid below the conjectured range")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most one per CPU (default: 1)")
-    p.add_argument("--out", default=None, help="report file prefix")
-    p.set_defaults(func=cmd_scan)
+    families = sub.add_parser(
+        "scan", help="Scan a conjecture family and record findings"
+    ).add_subparsers(dest="family", required=True)
+    strict = _command(families, "F-strict", _scan_F_strict, nmax=10, kmax=20)
+    strict.add_argument("--include-below-range", action="store_true",
+                        help="extend the grid below the conjectured range")
+    for p in (strict,
+              _command(families, "strange", _scan_strange, nmax=10, kmax=20, rmax=3),
+              _command(families, "bergeron", _scan_bergeron, bound=6)):
+        p.add_argument("--jobs", type=_at_least(1), default=1,
+                       help="worker processes, at most one per CPU (default: 1)")
+        p.add_argument("--out", help="report file prefix (default: scan-FAMILY)")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:
+            args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

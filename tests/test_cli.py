@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import semiinv
 from semiinv import cache, differences
-from semiinv.cli import GRID, main
+from semiinv.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -225,10 +226,16 @@ class TestCache:
             lambda obj: cache.canonical_json_bytes(obj).replace(
                 b'"den":"1"', b'"den":"2"', 1
             ),
+            # numbers that decode to an infinite float
+            lambda obj: cache.canonical_json_bytes(obj).replace(b'"n":4', b'"n":1e999', 1),
+            lambda obj: cache.canonical_json_bytes(obj).replace(
+                b'"num":"3"', b'"num":1e999', 1
+            ),
         ],
         ids=["truncated", "duplicated", "other-stratum", "doubled", "recombined",
              "swapped", "whitespace", "reordered-keys", "plus-sign",
-             "zero-denominator", "float-exponent", "fractional-coefficient"],
+             "zero-denominator", "float-exponent", "fractional-coefficient",
+             "infinite-n", "infinite-num"],
     )
     def test_untrusted_basis_recomputed(self, tmp_path, tamper):
         cache.clear_memory_cache()
@@ -373,7 +380,7 @@ class TestVerifyCommand:
         ],
     )
     def test_grid_defaults(self, capsys, tmp_path, monkeypatch, suite, defaults):
-        command = "scan" if suite in GRID["scan"] else "verify"
+        command = "scan" if suite in ("F-strict", "strange", "bergeron") else "verify"
         monkeypatch.chdir(tmp_path)
 
         def run(*flags):
@@ -451,6 +458,65 @@ class TestScanCommand:
         assert code == 2
         assert "--jobs" in err
         assert not (tmp_path / "x.jsonl").exists()
+
+
+def _readme_flags():
+    """``(command, suite) -> flags`` from the README's table of the flags
+    each suite or family reads."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(verify|scan) ([\w-]+)` \| (.*) \|$", readme, re.M)
+    return {(command, suite): set(re.findall(r"`(--[\w-]+)`", flags))
+            for command, suite, flags in rows}
+
+
+class TestSuiteParsers:
+    @pytest.mark.parametrize(
+        "command, suite",
+        [("verify", "sylvester"), ("verify", "F"), ("verify", "G"), ("verify", "nr8"),
+         ("scan", "F-strict"), ("scan", "strange"), ("scan", "bergeron")],
+    )
+    def test_help_lists_the_flags_read(self, capsys, command, suite):
+        code, out, _ = run_cli(capsys, command, suite, "--help")
+        assert code == 0
+        usage = out.split("\n\n")[0]
+        assert set(re.findall(r"\[(-[\w-]+)", usage)) == {
+            "-h", *_readme_flags()[command, suite]
+        }
+
+    def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        grid = ["--nmax", "9", "--kmax", "16"]
+        for flags in (["--include-below-range", "--out", "a"], ["--out", "b"]):
+            assert run_cli(capsys, "scan", "F-strict", *grid, *flags)[0] == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(semiinv.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "semiinv.cli", "scan", "F-strict", *grid, "--out", "c"],
+            check=True, capture_output=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        for suffix in ("jsonl", "csv"):
+            a, b, c = ((tmp_path / f"{p}.{suffix}").read_bytes() for p in "abc")
+            assert a != b == c
+
+        cache.clear_memory_cache()
+        try:
+            code, out, _ = run_cli(capsys, "verify", "nr8", "--with-kernel")
+            assert code == 0 and "kernel nullity" in out
+            code, out, _ = run_cli(capsys, "verify", "nr8")
+        finally:
+            cache.clear_memory_cache()
+        assert code == 0 and "kernel nullity" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--nmax", "3", "sylvester"], ["scan", "--jobs", "2", "bergeron"]],
+    )
+    def test_flags_before_suite_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of the JSONL and CSV reports, recorded before the verifiers and
