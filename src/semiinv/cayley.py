@@ -254,14 +254,12 @@ class KernelBasis:
             for v in self.vectors
         )
 
+    def _json_header(self) -> dict:
+        """The fields that precede ``"vectors"``, in file order."""
+        return {"n": self.n, "k": self.k, "m": self.m, "dim": self.dim}
+
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "dim": self.dim,
-            "vectors": [v.to_json_list() for v in self.vectors],
-        }
+        return {**self._json_header(), "vectors": [v.to_json_list() for v in self.vectors]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "KernelBasis":

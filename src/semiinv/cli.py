@@ -90,9 +90,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     directory = _cache_dir(args)
     kb = cache.kernel_basis_cached(args.n, args.k, args.m, directory)
     tri = triangulate(kb.vectors)
-    data = cache.canonical_json_bytes(
-        KernelBasis(kb.n, kb.k, kb.m, tuple(tri)).to_json_obj()
-    )
+    data = cache.kernel_json_bytes(KernelBasis(kb.n, kb.k, kb.m, tuple(tri)))
     if args.out:
         cache.atomic_write_bytes(Path(args.out), data)
         _info(f"wrote {args.out}")
@@ -247,12 +245,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the word that names what follows each command with subcommands
+_SUBCOMMAND = {"verify": "SUITE", "scan": "FAMILY"}
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args, unread = build_parser().parse_known_args(argv)
         if unread:
             args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
+        if (exc.code and len(argv) > 1 and argv[0] in _SUBCOMMAND
+                and argv[1].startswith("-") and argv[1] not in ("-h", "--help")):
+            _info(f"flags follow the {_SUBCOMMAND[argv[0]].lower()} name: "
+                  f"semiinv {argv[0]} {_SUBCOMMAND[argv[0]]} [flags]")
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)

@@ -5,10 +5,11 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semiinv
@@ -148,6 +149,31 @@ class TestBasisCommand:
         assert code == 4
         assert out_path.read_bytes() == b"old\n"
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_cache_write_leaves_nothing(self, capsys, tmp_path, monkeypatch):
+        cachedir = tmp_path / "cache"
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        cache.clear_memory_cache()
+        try:
+            code, out, _ = run_cli(capsys, "basis", "4", "4", "6",
+                                   "--cache-dir", str(cachedir))
+        finally:
+            cache.clear_memory_cache()
+        assert code == 4
+        assert out == ""
+        assert list(cachedir.glob("*.tmp")) == []
+        assert not (cachedir / "kernel_n4_k4_m6.json").exists()
+
+    def test_stdout_equals_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "basis.json"
+        code, out, _ = run_cli(capsys, "basis", "8", "8", "32")
+        assert code == 0
+        assert run_cli(capsys, "basis", "8", "8", "32", "--out", str(out_path))[0] == 0
+        assert out.encode() == out_path.read_bytes()
 
     def test_bad_params_exit_code(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -469,6 +495,40 @@ def _readme_flags():
             for command, suite, flags in rows}
 
 
+@st.composite
+def _strata(draw):
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    # m = 0 and the strata of dimension 0 are drawn too
+    return n, k, draw(st.integers(0, n * k))
+
+
+def _old_encoding(kb):
+    return cache.canonical_json_bytes(kb.to_json_obj())
+
+
+class TestKernelJson:
+    @settings(max_examples=80, deadline=None)
+    @given(stratum=_strata())
+    @example(stratum=(8, 8, 32))
+    def test_encodings_agree(self, stratum):
+        kb = cache.kernel_basis(*stratum)
+        assert cache.kernel_json_bytes(kb) == _old_encoding(kb)
+
+    def test_encoding_peak_memory(self):
+        # one encode of the whole basis holds every token until it is done
+        kb = cache.kernel_basis_cached(8, 8, 32)
+        peaks = []
+        for encode in (_old_encoding, cache.kernel_json_bytes):
+            tracemalloc.start()
+            try:
+                encode(kb)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        old, new = peaks
+        assert new < 0.4 * old, peaks
+
+
 class TestSuiteParsers:
     @pytest.mark.parametrize(
         "command, suite",
@@ -509,13 +569,18 @@ class TestSuiteParsers:
 
     @pytest.mark.parametrize(
         "argv",
-        [["verify", "--nmax", "3", "sylvester"], ["scan", "--jobs", "2", "bergeron"]],
+        [["verify", "--nmax", "3", "sylvester"], ["verify", "--with-kernel", "nr8"],
+         ["scan", "--jobs", "2", "bergeron"]],
     )
     def test_flags_before_suite_rejected(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
+        name = {"verify": "SUITE", "scan": "FAMILY"}[argv[0]]
+        assert err.endswith(
+            f"flags follow the {name.lower()} name: semiinv {argv[0]} {name} [flags]\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
 
