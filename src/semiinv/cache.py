@@ -15,7 +15,7 @@ corrupt is recomputed and rewritten rather than trusted.
 
 Both the write and the byte check encode a basis with
 :func:`kernel_json_bytes`, which holds one vector's JSON objects at a time
-and the file's bytes once.
+besides about twice the file's bytes.
 
 The cache directory is chosen from, in order: an explicit argument, the
 ``SEMIINV_CACHE`` environment variable, or nothing (memory only).  The CLI

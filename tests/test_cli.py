@@ -569,8 +569,8 @@ class TestSuiteParsers:
 
     @pytest.mark.parametrize(
         "argv",
-        [["verify", "--nmax", "3", "sylvester"], ["verify", "--with-kernel", "nr8"],
-         ["scan", "--jobs", "2", "bergeron"]],
+        [["verify", "--nmax", "3", "sylvester"], ["scan", "--jobs", "2", "bergeron"],
+         ["verify", "--with-kernel", "nr8"]],
     )
     def test_flags_before_suite_rejected(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
