@@ -17,9 +17,11 @@ A stratum is walked once, as packed keys in the layout of
 slot of ``_width(k)`` bits), so ascending keys are the basis order and
 :mod:`semiinv.cayley` builds its matrices on the keys directly;
 :func:`enumerate_partitions_in_box` returns the tuples ``nu`` decoded from
-the keys.  The walk is depth-first and iterative over the part sizes
-``n, n-1, ..., 3``, skips the sizes larger than the weight left, and emits
-the keys for the sizes 2, 1 and 0 as one arithmetic progression.
+the keys.  The walk is one loop over a stack of pending prefixes, the
+choices of ``nu_n`` down to some ``nu_(i+1)``: it pops a prefix, pushes one
+child per feasible ``nu_i`` (skipping the sizes larger than the weight
+left), and emits the keys for the sizes 2, 1 and 0 as one arithmetic
+progression.  It needs no recursion, however wide the box.
 
 Counting uses a two-dimensional recurrence over the box,
 
@@ -147,40 +149,25 @@ def _stratum_keys(k: int, n: int, m: int) -> list[int]:
         return [(m << w) + k - m]
     step = ((1 << w) - 1) ** 2
     out: list[int] = []
-    # Depth-first over levels j = 0..n-2, which choose nu_i for i = n - j.
-    # chosen[j] is that choice; parts[j], weight[j] and prefix[j] are what
-    # the parts of size <= i still have to take and the key of the choices
-    # above, and up[j] is the level to back up to.  Each level counts
-    # upward from its lowest feasible value: smaller parts carry at most
-    # (i-1) each, so weight - i*v <= (i-1)*(parts-v).  Parts larger than
-    # the weight left cannot occur, so their levels are skipped.
-    chosen = [0] * (n - 1)
-    parts = [k] + [0] * (n - 2)
-    weight = [m] + [0] * (n - 2)
-    prefix = [0] * (n - 1)
-    up = [-1] * (n - 1)
-    j = 0
-    v = max(0, m - (n - 1) * k)
-    while j >= 0:
-        i = n - j
+    # Pending prefixes (i, p, q, key): nu_n..nu_(i+1) are packed in key, and
+    # p parts of size <= i still have to carry weight q.  Children are pushed
+    # from the largest nu_i down, so they pop in ascending key order.
+    stack = [(n, k, m, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, p, q, prefix = pop()
         if i == 2:
             # p parts of size <= 2 carry weight q: nu_2 = v runs over
             # [max(0, q-p), min(p, q//2)] and forces nu_1 = q - 2v and
             # nu_0 = p - q + v, so the keys step by (2^w - 1)^2
-            p, q = parts[j], weight[j]
-            base = prefix[j] + (q << w) + p - q
+            base = prefix + (q << w) + p - q
             lo, hi = max(0, q - p), min(p, q // 2)
             out.extend(range(base + lo * step, base + (hi + 1) * step, step))
-        elif v <= parts[j] and i * v <= weight[j]:
-            chosen[j] = v
-            p, q = parts[j] - v, weight[j] - i * v
-            nxt = n - min(i - 1, max(q, 2))
-            parts[nxt], weight[nxt], up[nxt] = p, q, j
-            prefix[nxt] = prefix[j] + (v << w * i)
-            j = nxt
-            v = max(0, q - (n - j - 1) * p)
             continue
-        # level done: back up and advance the level above
-        j = up[j]
-        v = chosen[j] + 1
+        # smaller parts carry at most (i-1) each, so q - i*v <= (i-1)*(p-v);
+        # parts larger than the weight left r cannot occur, so the child
+        # goes straight to size min(i-1, max(r, 2))
+        for v in range(min(p, q // i), max(0, q - (i - 1) * p) - 1, -1):
+            r = q - i * v
+            push((min(i - 1, max(r, 2)), p - v, r, prefix + (v << w * i)))
     return out

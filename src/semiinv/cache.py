@@ -92,8 +92,9 @@ def _load_valid(path: Path, n: int, k: int, m: int) -> KernelBasis | None:
     try:
         data = path.read_bytes()
         kb = KernelBasis.from_json_obj(json.loads(data))
-    # OverflowError: int() of a JSON number that decodes to an infinite float
-    except (OSError, ValueError, KeyError, TypeError, OverflowError):
+    # OverflowError: int() of a JSON number that decodes to an infinite float;
+    # RecursionError: json.loads of arrays or objects nested too deep
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return None
     if (kb.n, kb.k, kb.m) != (n, k, m):
         return None

@@ -48,10 +48,7 @@ def _info(msg: str) -> None:
 
 
 def _cache_dir(args: argparse.Namespace) -> Path:
-    if args.cache_dir is not None:
-        return Path(args.cache_dir)
-    resolved = cache.resolve_cache_dir(None)
-    return resolved if resolved is not None else Path(DEFAULT_CACHE_DIR)
+    return cache.resolve_cache_dir(args.cache_dir) or Path(DEFAULT_CACHE_DIR)
 
 
 def _at_least(low: int):

@@ -105,12 +105,8 @@ class ScanReport:
 
 
 def F(n: int, k: int) -> QPoly:
-    """Two-step difference family; symmetric of degree ``n*k``."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return gauss(n + k, k) - gauss(n + k - 2, k - 2).shift(n)
+    """Two-step difference family ``G(n, k, 2)``; symmetric of degree ``n*k``."""
+    return G(n, k, 2)
 
 
 def G(n: int, k: int, r: int) -> QPoly:

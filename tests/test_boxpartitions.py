@@ -1,8 +1,9 @@
 import functools
 import math
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semiinv import boxpartitions
@@ -11,7 +12,7 @@ from semiinv.boxpartitions import (
     delta,
     enumerate_partitions_in_box,
 )
-from semiinv.monomials import Monomial
+from semiinv.monomials import Monomial, _pack, _width
 from semiinv.qpoly import gauss
 
 from helpers import brute_count, brute_partitions, partition_to_nu
@@ -48,8 +49,12 @@ class TestCount:
         assert count_partitions_in_box(2, 1100, 10) == 6
 
     def test_negative_box_rejected(self):
-        with pytest.raises(ValueError):
-            count_partitions_in_box(-1, 3, 0)
+        # the count, delta and the walk each check the box, with one message
+        for fn in (count_partitions_in_box, delta, enumerate_partitions_in_box):
+            for k, n in ((-1, 3), (3, -1)):
+                message = f"box dimensions must be nonnegative, got ({k},{n})"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    fn(k, n, 0)
 
     def test_symmetry(self):
         for k in range(7):
@@ -221,6 +226,25 @@ class TestEnumerate:
         assert nu == (0, 1) + (0,) * 1199
         assert len(enumerate_partitions_in_box(2, 1500, 1500)) == 751
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda k: st.integers(0, 40).flatmap(
+                lambda n: st.tuples(st.just(k), st.just(n), st.integers(0, n * k))
+            )
+        )
+    )
+    def test_keys_of_boxes_up_to_12_by_40(self, box):
+        k, n, m = box
+        assume(count_partitions_in_box(k, n, m) <= 20000)
+        _check_stratum_keys(k, n, m)
+
+    @pytest.mark.parametrize(
+        "box, count", [((8, 14, 56), 8512), ((10, 11, 55), 9686)], ids=["8x14", "10x11"]
+    )
+    def test_keys_of_large_strata(self, box, count):
+        assert _check_stratum_keys(*box) == count
+
     def test_invalid_weight_rejected(self):
         with pytest.raises(ValueError):
             enumerate_partitions_in_box(2, 2, 5)
@@ -231,3 +255,22 @@ class TestEnumerate:
         assert enumerate_partitions_in_box(0, 4, 0)[0] == (0, 0, 0, 0, 0)
         assert enumerate_partitions_in_box(3, 0, 0)[0] == (3,)
 
+
+
+def _check_stratum_keys(k, n, m):
+    """Check the walk of one stratum and return its number of keys.
+
+    Strictly ascending keys, as many as the box count, each the packing of
+    a vector in the stratum, pin the whole list.
+    """
+    keys = boxpartitions._stratum_keys(k, n, m)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(keys) == count_partitions_in_box(k, n, m)
+    nus = enumerate_partitions_in_box(k, n, m)
+    assert len(nus) == len(keys)
+    w = _width(k)
+    for key, nu in zip(keys, nus):
+        assert len(nu) == n + 1 and sum(nu) == k
+        assert sum(i * e for i, e in enumerate(nu)) == m
+        assert _pack(nu, w) == key
+    return len(keys)

@@ -257,11 +257,16 @@ class TestCache:
             lambda obj: cache.canonical_json_bytes(obj).replace(
                 b'"num":"3"', b'"num":1e999', 1
             ),
+            # arrays nested deeper than the decoder's recursion limit
+            lambda obj: b"[" * 100000 + b"]" * 100000,
+            lambda obj: cache.canonical_json_bytes({**obj, "vectors": []}).replace(
+                b'"vectors":[]', b'"vectors":' + b"[" * 5000 + b"]" * 5000, 1
+            ),
         ],
         ids=["truncated", "duplicated", "other-stratum", "doubled", "recombined",
              "swapped", "whitespace", "reordered-keys", "plus-sign",
              "zero-denominator", "float-exponent", "fractional-coefficient",
-             "infinite-n", "infinite-num"],
+             "infinite-n", "infinite-num", "nested-file", "nested-vectors"],
     )
     def test_untrusted_basis_recomputed(self, tmp_path, tamper):
         cache.clear_memory_cache()
@@ -657,6 +662,54 @@ class TestExitCodeContract:
         code, out, _ = run_cli(capsys, "dim", "4", "4", "6")
         assert code == 3
         assert "MISMATCH" in out
+
+    def test_sylvester_mismatch_exits_three(self, capsys, monkeypatch):
+        from semiinv import cayley
+
+        # a nullity off by one at the worked cell
+        real = cayley.semiinvariant_dim
+        monkeypatch.setattr(cayley, "semiinvariant_dim",
+                            lambda n, k, m: real(n, k, m) + ((n, k, m) == (4, 4, 6)))
+        code, out, _ = run_cli(capsys, "verify", "sylvester", "--nmax", "4",
+                               "--kmax", "4")
+        assert code == 3
+        assert out == "MISMATCH n=4 k=4 m=6 delta=2 kernel=3\n"
+
+    def test_basis_nullity_mismatch_exits_three(self, capsys, monkeypatch, tmp_path):
+        from semiinv import cayley
+
+        real = cayley.delta
+        monkeypatch.setattr(cayley, "delta", lambda k, n, m: real(k, n, m) + 1)
+        cache.clear_memory_cache()
+        try:
+            code, out, err = run_cli(capsys, "basis", "4", "4", "6",
+                                     "--cache-dir", str(tmp_path / "fresh"))
+        finally:
+            cache.clear_memory_cache()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("verification failure: nullity 2 != delta(k=4, n=4, m=6) = 3")
+        assert not (tmp_path / "fresh").exists()
+
+    def test_nr8_cell_below_two_exits_three(self, capsys, monkeypatch):
+        from semiinv import witnesses
+
+        real = witnesses.delta
+        monkeypatch.setattr(witnesses, "delta",
+                            lambda k, n, m: 1 if (n, k) == (8, 10) else real(k, n, m))
+        code, out, _ = run_cli(capsys, "verify", "nr8")
+        assert code == 3
+        assert "n=8 r=10 delta=1\n" in out
+        assert out.endswith("FAIL: 1 cells below 2: [(8, 10, 1)]\n")
+
+    def test_nr8_kernel_nullity_below_two_exits_three(self, capsys, monkeypatch):
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(cache, "kernel_basis_cached",
+                            lambda n, k, m, cache_dir: SimpleNamespace(dim=1))
+        code, out, _ = run_cli(capsys, "verify", "nr8", "--with-kernel")
+        assert code == 3
+        assert out.endswith("kernel nullity at (8,8,32) = 1\n")
 
     def test_inexact_gauss_division_exits_three(self, capsys, monkeypatch):
         from semiinv import qpoly

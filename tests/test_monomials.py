@@ -120,6 +120,11 @@ class TestSIPoly:
         assert len(p) == 1
         assert p.coefficient((0, 1, 0)) == 0
 
+    def test_str_of_small_polynomials(self):
+        assert str(SIPoly(2)) == "0"
+        assert str(SIPoly.constant(2, -3)) == "-3"
+        assert str(SIPoly(2, {(0, 1, 0): -1, (1, 0, 0): 2})) == "2*a0 - a1"
+
     def test_add_cancel(self):
         p = SIPoly(2, {(2, 0, 0): 7, (0, 1, 1): -3})
         assert (p + p.scale(-1)).is_zero()

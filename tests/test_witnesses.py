@@ -29,6 +29,14 @@ class TestTriangulate:
             Monomial((1, 0, 3, 0, 0)),
         ]
 
+    def test_worked_cell_printed(self):
+        tri = triangulate(kernel_basis(4, 4, 6).vectors)
+        assert [str(v) for v in tri] == [
+            "3*a1^2*a2^2 - 4*a0*a2^3 - 4*a1^3*a3 + 6*a0*a1*a2*a3 - a0^2*a3^2",
+            "a0*a2^3 - 2*a0*a1*a2*a3 + a0^2*a3^2 + a0*a1^2*a4 - a0^2*a2*a4",
+        ]
+        assert [repr(v) for v in tri] == ["SIPoly(n=4, 5 terms)"] * 2
+
     def test_single_vector_normalized(self):
         p = SIPoly(4, I2_TERMS).scale(-3)
         tri = triangulate([p])
