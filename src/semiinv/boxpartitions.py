@@ -30,15 +30,17 @@ Counting uses a two-dimensional recurrence over the box,
 (split on whether some part equals ``n``), memoized per ``(k, n)`` with
 the whole weight vector stored, since delta scans reuse the same boxes
 heavily.  Each vector is one slice addition of the shorter box's vector,
-shifted by ``n``, onto the narrower box's, and :func:`delta` reads one
-vector once.  The memo is filled iteratively, row by row (``k`` fixed,
-``n`` rising), from the highest row already complete, so a box of any
-shape needs no recursion and the box one row up costs one row.  Its budget
-is a fixed number of stored coefficients: once a finished row leaves the
-memo past it, everything is dropped but that row, which is all the next row
-reads, and the requested column ``(k', n)``, ``k' < k``.  Cells are exact
-big integers, and the memo never reads :mod:`semiinv.qpoly`, so the two
-stay an independent cross-check.
+shifted by ``n``, onto the narrower box's.  :func:`delta` reads one
+vector once, and ``_delta_row`` reads the deltas of a run of weights from
+one vector, as one subtraction of the run from itself shifted by one.  The
+memo is filled iteratively, row by row (``k`` fixed, ``n`` rising), from
+the highest row already complete, so a box of any shape needs no recursion
+and the box one row up costs one row.  Its budget is a fixed number of
+stored coefficients: once a finished row leaves the memo past it,
+everything is dropped but that row, which is all the next row reads, and
+the requested column ``(k', n)``, ``k' < k``.  Cells are exact big
+integers, and the memo never reads :mod:`semiinv.qpoly`, so the two stay
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -119,6 +121,20 @@ def delta(k: int, n: int, m: int) -> int:
         return 0
     table = _count_table(k, n)
     return (table[m] if m <= top else 0) - (table[m - 1] if m else 0)
+
+
+def _delta_row(k: int, n: int, stop: int) -> tuple[int, ...]:
+    """``delta(k, n, m)`` for ``m`` in ``range(stop)``, from one table read.
+
+    Past the box it gives what :func:`delta` gives: ``-p(k, n, n*k)`` at
+    ``m = n*k + 1`` and 0 after.
+    """
+    if k < 0 or n < 0:
+        raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
+    # p(k, n, m) for m < stop, then the same run shifted up by one weight
+    table = _count_table(k, n)[:stop]
+    table += (0,) * (stop - len(table))
+    return tuple(map(operator.sub, table, (0,) + table))
 
 
 def enumerate_partitions_in_box(k: int, n: int, m: int) -> list[tuple[int, ...]]:

@@ -13,6 +13,9 @@ other vector's trailing monomial.  Together these force a loaded basis to
 equal the one :func:`~semiinv.cayley.kernel_basis` computes.  Anything
 corrupt is recomputed and rewritten rather than trusted.
 
+Beside each basis in memory the process keeps its triangulation, computed
+by :mod:`semiinv.witnesses` the first time it is asked for.
+
 Both the write and the byte check encode a basis with
 :func:`kernel_json_bytes`, which holds one vector's JSON objects at a time
 besides about twice the file's bytes.
@@ -31,10 +34,14 @@ from pathlib import Path
 
 from .boxpartitions import delta
 from .cayley import KernelBasis, kernel_basis
+from .monomials import SIPoly
 
 ENV_VAR = "SEMIINV_CACHE"
 
 _memory: dict[tuple[int, int, int], KernelBasis] = {}
+# (n, k, m) -> the triangulated vectors of _memory[n, k, m], filled by
+# semiinv.witnesses
+_triangles: dict[tuple[int, int, int], tuple[SIPoly, ...]] = {}
 
 
 def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path | None:
@@ -148,3 +155,4 @@ def kernel_basis_cached(
 
 def clear_memory_cache() -> None:
     _memory.clear()
+    _triangles.clear()

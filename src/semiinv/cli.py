@@ -38,7 +38,7 @@ from .differences import (
     write_jsonl,
 )
 from .qpoly import gauss
-from .witnesses import base_grid_deltas, triangulate
+from .witnesses import _kernel_triangle, base_grid_deltas
 
 DEFAULT_CACHE_DIR = ".semiinv-cache"
 
@@ -84,10 +84,8 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    directory = _cache_dir(args)
-    kb = cache.kernel_basis_cached(args.n, args.k, args.m, directory)
-    tri = triangulate(kb.vectors)
-    data = cache.kernel_json_bytes(KernelBasis(kb.n, kb.k, kb.m, tuple(tri)))
+    tri = _kernel_triangle(args.n, args.k, args.m, _cache_dir(args))
+    data = cache.kernel_json_bytes(KernelBasis(args.n, args.k, args.m, tri))
     if args.out:
         cache.atomic_write_bytes(Path(args.out), data)
         _info(f"wrote {args.out}")

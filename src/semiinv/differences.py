@@ -20,9 +20,10 @@ proved facts: a failure raises with its witness index and would mean a bug
 in this package, not new mathematics.  Scanners only REPORT findings for
 the open conjecture families: a failure is recorded with its index and the
 later checks are skipped.  Grid iteration is row-major and deterministic,
-and parallel runs (one worker per CPU at most) keep grid order.  The
-process pool is imported only when a run has more than one worker, so
-importing this module, or a serial scan, never loads ``multiprocessing``.
+and parallel runs (at most one worker per CPU the process may run on) keep
+grid order.  The process pool is imported only when a run has more than one
+worker, so importing this module, or a serial scan, never loads
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -38,15 +39,14 @@ from operator import ne, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .boxpartitions import delta
+from .boxpartitions import _delta_row
 from .qpoly import (
-    NonnegativityViolation,
     QPoly,
+    _strictness_break,
+    _unimodality_break,
     first_negative_index,
     gauss,
-    strictness_break,
     symmetry_break,
-    unimodality_break,
 )
 
 
@@ -195,19 +195,28 @@ _SUITES = {
 _CHECKS = {
     "nonnegative": "first_negative_index",
     "symmetric": "symmetry_break",
-    "unimodal": "unimodality_break",
-    "strict_except_ends": "strictness_break",
+    "unimodal": "_unimodality_break",
+    "strict_except_ends": "_strictness_break",
     "delta_identity": "_delta_identity_break",
 }
+
+# checks defined on nonnegative coefficients only; their functions above do
+# not scan for a negative one, so _cell does, unless "nonnegative" already has
+_ON_NONNEGATIVE = ("unimodal", "strict_except_ends")
 
 
 def _delta_identity_break(poly: QPoly, n: int, k: int) -> int | None:
     """First ``m <= n*k/2`` where the coefficient delta of ``F(n, k)`` misses
-    ``delta(k,n,m) - delta(k-2,n,m-n)``, else None."""
+    ``delta(k,n,m) - delta(k-2,n,m-n)``, else None.
+
+    The right-hand side is two delta rows, ``k`` and ``k-2`` (the second
+    shifted up by ``n``), each one read of a box-count vector.
+    """
     size = n * k // 2 + 1
     cs = poly.coeffs[:size]
     cs += (0,) * (size - len(cs))
-    rhs = [delta(k, n, m) - delta(k - 2, n, m - n) for m in range(size)]
+    # delta(k-2, n, m-n) is 0 for m < n
+    rhs = map(sub, _delta_row(k, n, size), (0,) * n + _delta_row(k - 2, n, size - n))
     return next(compress(count(), map(ne, map(sub, cs, (0,) + cs), rhs)), None)
 
 
@@ -217,18 +226,22 @@ def _cell(suite: _Suite, params: tuple[int, ...]) -> ScanReport:
     A proved suite raises :class:`VerificationError` there, also at a
     negative coefficient that a shape check meets.  A recorded suite stores
     the failure and omits the later checks, since they are not defined on
-    the failing input.
+    the failing input.  A cell is scanned for negative coefficients once:
+    by its "nonnegative" check, or else by its first shape check, which
+    fails at the first negative index (only proved suites skip
+    "nonnegative").
     """
     poly = globals()[suite.family](*params)
     named = dict(zip(suite.param_names, params))
     checks: dict = {}
     witness = None
     for check in suite.checks:
-        brk = globals()[_CHECKS[check]]
-        try:  # only the delta identity needs the cell itself
+        if check in _ON_NONNEGATIVE and "nonnegative" not in checks:
+            witness = first_negative_index(poly)
+        if witness is None:
+            brk = globals()[_CHECKS[check]]
+            # only the delta identity needs the cell itself
             witness = brk(poly, *params) if check == "delta_identity" else brk(poly)
-        except NonnegativityViolation as exc:  # only proved suites skip "nonnegative"
-            witness = exc.index
         checks[check] = witness is None
         if witness is not None:
             if suite.proved:
@@ -238,9 +251,17 @@ def _cell(suite: _Suite, params: tuple[int, ...]) -> ScanReport:
     return ScanReport(suite.family, named, checks, witness, coefficients_digest(poly))
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on, where the platform tells;
+    else ``os.cpu_count()``, and 1 if that is unknown too."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_cells(suite: _Suite, cells: list[tuple], jobs: int) -> list[ScanReport]:
-    """Reports for ``cells`` in grid order, on at most ``os.cpu_count()`` workers."""
-    jobs = min(jobs, os.cpu_count() or 1)
+    """Reports for ``cells`` in grid order, on at most ``_usable_cpus()`` workers."""
+    jobs = min(jobs, _usable_cpus())
     if jobs <= 1 or len(cells) <= 1:
         return [_cell(suite, c) for c in cells]
     # imported here so that a serial run never loads multiprocessing
@@ -336,10 +357,13 @@ def scan_bergeron(bound: int, jobs: int = 1) -> list[ScanReport]:
 # serialization
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_jsonl(reports: Iterable[ScanReport], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for rep in reports:
-            fh.write(json.dumps(rep.to_json_obj(), separators=(",", ":")) + "\n")
+            fh.write(_ENCODER.encode(rep.to_json_obj()) + "\n")
 
 
 def write_csv(reports: Sequence[ScanReport], path: str | Path) -> None:

@@ -39,7 +39,9 @@ of odd degree the central pair is always equal, so a strict apex there is
 impossible).  Each predicate finds its first offending index with one scan
 at C level, ``next(compress(count(start), map(op, cs, islice(cs, 1, None))))``
 over adjacent pairs, after the whole-sequence tests ``min(cs) >= 0`` and
-``cs == cs[::-1]`` where they settle the answer.
+``cs == cs[::-1]`` where they settle the answer.  The private forms of the
+two unimodality predicates skip the ``min(cs) >= 0`` test, for a caller
+that has just made it.
 """
 
 from __future__ import annotations
@@ -297,6 +299,12 @@ def unimodality_break(p: QPoly) -> int | None:
     :class:`NonnegativityViolation` with the offending index.
     """
     _require_nonnegative(p)
+    return _unimodality_break(p)
+
+
+def _unimodality_break(p: QPoly) -> int | None:
+    """:func:`unimodality_break` of ``p``, whose coefficients are known to
+    be nonnegative: no scan for a negative one."""
     cs = p.coeffs
     # the first strict fall ends the rise; a strict rise after it breaks
     i = _first(map(operator.gt, cs, islice(cs, 1, None)))
@@ -321,6 +329,12 @@ def strictness_break(p: QPoly) -> int | None:
     Every other step of the interior must be strictly monotone.
     """
     _require_nonnegative(p)
+    return _strictness_break(p)
+
+
+def _strictness_break(p: QPoly) -> int | None:
+    """:func:`strictness_break` of ``p``, whose coefficients are known to
+    be nonnegative: no scan for a negative one."""
     cs = p.coeffs
     d = len(cs) - 1
     if d < 4:

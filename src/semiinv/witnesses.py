@@ -3,8 +3,8 @@
 Triangulation brings a linearly independent family to a form with strictly
 decreasing leading terms under the anti-lexicographic order (same span).
 Every witness here is built from two steps: the kernel triangle of one
-stratum (its triangulated kernel basis, which must hold as many vectors as
-the dimension bound promises) and :func:`lemma_combine`, the staircase
+stratum (its triangulated kernel basis, computed once per process, which
+must hold as many vectors as the dimension bound promises) and :func:`lemma_combine`, the staircase
 products of two triangulated families, whose leading terms stay pairwise
 distinct because the order is multiplicative.
 
@@ -29,6 +29,7 @@ import os
 from math import gcd
 from typing import Sequence
 
+from . import cache
 from .boxpartitions import delta
 from .cache import kernel_basis_cached
 from .monomials import SIPoly
@@ -118,11 +119,24 @@ def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
     return out
 
 
+def _kernel_triangle(
+    n: int, k: int, m: int, cache_dir: str | os.PathLike | None
+) -> tuple[SIPoly, ...]:
+    """The triangulated kernel of the (k, m) stratum, triangulated once per
+    process and kept beside the basis in the cache's memory."""
+    key = (n, k, m)
+    tri = cache._triangles.get(key)
+    if tri is None:
+        tri = tuple(triangulate(kernel_basis_cached(n, k, m, cache_dir).vectors))
+        cache._triangles[key] = tri
+    return tri
+
+
 def _triangle(
     n: int, k: int, m: int, d: int, cache_dir: str | os.PathLike | None
-) -> list[SIPoly]:
-    """The triangulated kernel of the (k, m) stratum; ``d`` vectors or more."""
-    tri = triangulate(kernel_basis_cached(n, k, m, cache_dir).vectors)
+) -> tuple[SIPoly, ...]:
+    """The kernel triangle of the (k, m) stratum; ``d`` vectors or more."""
+    tri = _kernel_triangle(n, k, m, cache_dir)
     if len(tri) < d:
         raise RuntimeError(f"kernel at (n={n}, k={k}, m={m}) has {len(tri)} vectors; "
                            f"the dimension bound guarantees at least {d}")
@@ -152,7 +166,7 @@ def nr8_witnesses(
     """
     _check_nr(n, r)
     if r < 16:
-        return tuple(_triangle(n, r, n * r // 2, 2, cache_dir)[:2])
+        return _triangle(n, r, n * r // 2, 2, cache_dir)[:2]
     t = (r % 8) + 8
     eighth = _triangle(n, 8, 4 * n, 1, cache_dir)[0]
     return tuple(lemma_combine([eighth ** ((r - t) // 8)], nr8_witnesses(n, t, cache_dir)))
@@ -178,7 +192,7 @@ def strict_witnesses(
         raise ValueError(f"need n*r/2 <= m <= n*k/2, got m={m}")
     t = delta(k - r, n, m - half)
     if t == 0:
-        return _triangle(n, k, m, 1, cache_dir)[:1]
+        return list(_triangle(n, k, m, 1, cache_dir)[:1])
     inner = _triangle(n, k - r, m - half, t, cache_dir)
     return lemma_combine(nr8_witnesses(n, r, cache_dir), inner)
 

@@ -172,6 +172,22 @@ class TestDelta:
                     continue
                 assert delta(r, n, n * r // 2) >= 2
 
+    @settings(max_examples=200)
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12 * 12 + 4))
+    def test_row_matches_scalar(self, k, n, stop):
+        # stop runs up to n*k + 4: the -p(k,n,nk) entry and the zeros after it
+        stop %= n * k + 5
+        row = boxpartitions._delta_row(k, n, stop)
+        assert row == tuple(delta(k, n, m) for m in range(stop))
+
+    def test_row_past_the_box(self):
+        # p(2, 2, m) = 1, 1, 2, 1, 1
+        assert boxpartitions._delta_row(2, 2, 7) == (1, 0, 1, -1, 0, -1, 0)
+        assert boxpartitions._delta_row(0, 3, 4) == (1, -1, 0, 0)
+        assert boxpartitions._delta_row(3, 3, 0) == ()
+        with pytest.raises(ValueError, match=r"got \(-1,3\)"):
+            boxpartitions._delta_row(-1, 3, 2)
+
 
 class TestEnumerate:
     def test_lengths_match_counts(self):

@@ -467,8 +467,8 @@ class TestScanCommand:
         assert not (tmp_path / "x.jsonl").exists()
 
     def test_parallel_reports_match_serial(self, capsys, tmp_path, monkeypatch):
-        # two workers even on a one-CPU machine
-        monkeypatch.setattr(differences.os, "cpu_count", lambda: 2)
+        # two workers even on one CPU
+        monkeypatch.setattr(differences, "_usable_cpus", lambda: 2)
         reports = {}
         for jobs in ("1", "2"):
             prefix = tmp_path / f"j{jobs}"

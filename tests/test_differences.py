@@ -209,10 +209,11 @@ class TestVerifiers:
         assert info.value.witness == 0
 
     def test_F_delta_identity_failure(self, monkeypatch):
-        # every coefficient delta of F(2, 2) is off by one at m = 1
-        real = differences.delta
+        # every delta row the check reads is off by one at m = 1
+        real = differences._delta_row
         monkeypatch.setattr(
-            differences, "delta", lambda k, n, m: real(k, n, m) + (m == 1)
+            differences, "_delta_row",
+            lambda k, n, stop: tuple(d + (m == 1) for m, d in enumerate(real(k, n, stop))),
         )
         with pytest.raises(VerificationError) as info:
             verify_theorem_F(4, 4)
@@ -308,6 +309,32 @@ class TestScanners:
         parallel = scan_bergeron(5, jobs=2)
         assert serial == parallel
 
+    def test_one_nonnegativity_scan_per_cell(self, monkeypatch):
+        from semiinv import qpoly
+
+        # every scan for a negative coefficient, from _cell or from inside a
+        # public shape predicate
+        scans = []
+        real = qpoly.first_negative_index
+
+        def counting(p):
+            scans.append(p)
+            return real(p)
+
+        monkeypatch.setattr(qpoly, "first_negative_index", counting)
+        monkeypatch.setattr(differences, "first_negative_index", counting)
+        runs = [
+            lambda: scan_conjecture_F_strict(6, 10, include_below_range=True),
+            lambda: scan_strange(15, 4, 2),
+            lambda: scan_bergeron(6),
+            lambda: verify_theorem_F(6, 6),
+            lambda: verify_theorem_G(9, 10, 9),
+        ]
+        for run in runs:
+            scans.clear()
+            reports = run()
+            assert len(scans) == len(reports) > 0
+
     def test_workers_clamped_to_cpu_count(self, monkeypatch):
         # a stand-in pool that records its size and runs in this process
         sizes = []
@@ -326,15 +353,23 @@ class TestScanners:
                 return map(fn, cells)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(differences.os, "cpu_count", lambda: 3)
+        # three CPUs this process may run on, of eight on the machine
+        monkeypatch.setattr(differences.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        monkeypatch.setattr(differences.os, "cpu_count", lambda: 8)
         serial = scan_bergeron(5)
         assert scan_bergeron(5, jobs=10**6) == serial
         assert scan_bergeron(5, jobs=2) == serial
         assert sizes == [3, 2]
+        # no affinity on the platform: the machine's count, if known
+        monkeypatch.delattr(differences.os, "sched_getaffinity")
         monkeypatch.setattr(differences.os, "cpu_count", lambda: None)
         assert scan_bergeron(5, jobs=10**6) == serial  # unknown count: serial
         assert scan_bergeron(5, jobs=0) == serial
         assert sizes == [3, 2]
+        monkeypatch.setattr(differences.os, "cpu_count", lambda: 3)
+        assert scan_bergeron(5, jobs=10**6) == serial
+        assert sizes == [3, 2, 3]
 
 
 class TestReports:

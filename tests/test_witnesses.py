@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from semiinv import witnesses
+from semiinv import cache, witnesses
 from semiinv.boxpartitions import delta
 from semiinv.cache import canonical_json_bytes, kernel_basis_cached
 from semiinv.cayley import KernelBasis, apply_D, kernel_basis
@@ -182,16 +182,46 @@ class TestKernelTriangleGuard:
         ids=["nr8-8-8", "nr8-8-16", "strict-8-12-8-48"],
     )
     def test_too_few_kernel_vectors_raise(self, monkeypatch, build):
-        # every stratum's kernel comes back cut to its first vector, below
-        # the two the nr8 pair and the gap-two staircase need
-        real = witnesses.kernel_basis_cached
+        # every stratum's kernel triangle comes back cut to its first vector,
+        # below the two the nr8 pair and the gap-two staircase need
+        real = witnesses._kernel_triangle
 
         def first_only(n, k, m, cache_dir=None):
-            return KernelBasis(n, k, m, real(n, k, m, cache_dir).vectors[:1])
+            return real(n, k, m, cache_dir)[:1]
 
-        monkeypatch.setattr(witnesses, "kernel_basis_cached", first_only)
+        monkeypatch.setattr(witnesses, "_kernel_triangle", first_only)
         with pytest.raises(RuntimeError, match="guarantees at least 2"):
             build()
+
+
+class TestTriangleMemo:
+    def test_each_kernel_triangulated_once(self, monkeypatch, tmp_path, capsys):
+        from semiinv import cli
+
+        calls = []
+        real = witnesses.triangulate
+
+        def counting(vs):
+            calls.append(len(vs))
+            return real(vs)
+
+        monkeypatch.setattr(witnesses, "triangulate", counting)
+        cache.clear_memory_cache()
+        try:
+            first = nr8_witnesses(8, 8)
+            assert cli.main(["basis", "8", "8", "32", "--cache-dir", str(tmp_path)]) == 0
+            assert nr8_witnesses(8, 16)[0] == (first[0] * first[0]).primitive()
+            assert calls == [7]  # (8, 8, 32), triangulated for the first call only
+            tri = cache._triangles[8, 8, 32]
+            assert isinstance(tri, tuple) and tri[:2] == first
+            assert capsys.readouterr().out == canonical_json_bytes(
+                KernelBasis(8, 8, 32, tri).to_json_obj()).decode()
+        finally:
+            cache.clear_memory_cache()
+        assert cache._triangles == {} and cache._memory == {}
+        nr8_witnesses(8, 8)
+        assert calls == [7, 7]
+        cache.clear_memory_cache()
 
 
 class TestWitnessGoldens:
