@@ -43,7 +43,7 @@ from .differences import (
     write_csv,
     write_jsonl,
 )
-from .monomials import Monomial, SIPoly
+from .monomials import SIPoly
 from .qpoly import (
     NonnegativityViolation,
     QPoly,
@@ -73,7 +73,6 @@ __all__ = [
     "F",
     "G",
     "KernelBasis",
-    "Monomial",
     "NonnegativityViolation",
     "QPoly",
     "SIPoly",

@@ -14,7 +14,11 @@ equal the one :func:`~semiinv.cayley.kernel_basis` computes.  Anything
 corrupt is recomputed and rewritten rather than trusted.
 
 Beside each basis in memory the process keeps its triangulation, computed
-by :mod:`semiinv.witnesses` the first time it is asked for.
+by :mod:`semiinv.witnesses` the first time it is asked for.  The memory's
+budget is a fixed number of stored basis terms; an insert that pushes it
+past the budget clears both memos down to the entry in hand, the policy of
+the ``gauss`` memo.  Entries are exact and are only ever dropped, so
+results never depend on call order or eviction.
 
 Both the write and the byte check encode a basis with
 :func:`kernel_json_bytes`, which holds one vector's JSON objects at a time
@@ -40,8 +44,12 @@ ENV_VAR = "SEMIINV_CACHE"
 
 _memory: dict[tuple[int, int, int], KernelBasis] = {}
 # (n, k, m) -> the triangulated vectors of _memory[n, k, m], filled by
-# semiinv.witnesses
+# semiinv.witnesses; its keys stay a subset of _memory's
 _triangles: dict[tuple[int, int, int], tuple[SIPoly, ...]] = {}
+# the number of terms of the bases in _memory, kept within _MEMORY_BUDGET
+# by _remember
+_memory_size = 0
+_MEMORY_BUDGET = 1 << 20
 
 
 def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path | None:
@@ -142,17 +150,29 @@ def kernel_basis_cached(
     directory = resolve_cache_dir(cache_dir)
     if directory is not None:
         kb = _load_valid(directory / kernel_file_name(n, k, m), n, k, m)
-        if kb is not None:
-            _memory[key] = kb
-            return kb
-    kb = kernel_basis(n, k, m)
-    if directory is not None:
-        directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(directory / kernel_file_name(n, k, m), kernel_json_bytes(kb))
-    _memory[key] = kb
+    if kb is None:
+        kb = kernel_basis(n, k, m)
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
+            path = directory / kernel_file_name(n, k, m)
+            atomic_write_bytes(path, kernel_json_bytes(kb))
+    _remember(key, kb)
     return kb
 
 
+def _remember(key: tuple[int, int, int], kb: KernelBasis) -> None:
+    """Store ``kb`` under a new ``key``, within the memory's budget."""
+    global _memory_size
+    size = sum(map(len, kb.vectors))
+    _memory_size += size
+    if _memory_size > _MEMORY_BUDGET:
+        clear_memory_cache()
+        _memory_size = size
+    _memory[key] = kb
+
+
 def clear_memory_cache() -> None:
+    global _memory_size
     _memory.clear()
     _triangles.clear()
+    _memory_size = 0

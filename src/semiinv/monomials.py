@@ -21,12 +21,13 @@ makes leading-term triangulation of semi-invariant bases work.
 coefficients, as every semi-invariant the library builds is integral;
 only :meth:`SIPoly.evaluate`, at a rational point, leaves the integers.
 Each exponent vector is stored as one packed int key, ``nu_i`` in bits
-``[w*i, w*(i+1))`` and so ``nu_n`` in the most significant slot; ascending
-key order is then descending monomial order, the leading monomial has the
-least key, and a product's key is the sum of its factors' keys.  The slot
-width ``w`` is the bit length of a bound on the total degree of the terms,
-so no exponent reaches the next slot: a product's width comes from the sum
-of its factors' degree bounds (and a factor of another width is re-encoded
+``[w*i, w*(i+1))`` and so ``nu_n`` in the most significant slot.  These
+keys are the one implementation of the order: ascending key order is
+descending monomial order, the leading monomial has the least key, and a
+product's key is the sum of its factors' keys.  The slot width ``w`` is
+the bit length of a bound on the total degree of the terms, so no
+exponent reaches the next slot: a product's width comes from the sum of
+its factors' degree bounds (and a factor of another width is re-encoded
 first), and a key is never packed from an exponent that does not fit.
 Keys stay small (45 bits for ``n = 8`` up to degree 31), which keeps key
 arithmetic and hashing cheap.  Exponent tuples appear only at the
@@ -36,7 +37,6 @@ Values are immutable; all operations return new objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -46,65 +46,6 @@ def _check_exponents(nu: tuple) -> None:
     # a float or bool exponent would pass a sign check and break key packing
     if any(type(v) is not int or v < 0 for v in nu):
         raise ValueError(f"exponent vector {nu} must hold nonnegative ints")
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector over ``a_0..a_n``; ``nu[i]`` is the exponent of ``a_i``."""
-
-    nu: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.nu:
-            raise ValueError("exponent vector must have length n+1 >= 1")
-        _check_exponents(self.nu)
-
-    @property
-    def n(self) -> int:
-        return len(self.nu) - 1
-
-    @property
-    def degree(self) -> int:
-        return sum(self.nu)
-
-    @property
-    def weight(self) -> int:
-        return sum(i * v for i, v in enumerate(self.nu))
-
-    def _check_same_n(self, other: "Monomial") -> None:
-        if len(self.nu) != len(other.nu):
-            raise ValueError(
-                f"monomials over different variable sets: n={self.n} vs n={other.n}"
-            )
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._check_same_n(other)
-        return Monomial(tuple(x + y for x, y in zip(self.nu, other.nu)))
-
-    def __lt__(self, other: "Monomial") -> bool:
-        self._check_same_n(other)
-        return self.nu[::-1] > other.nu[::-1]
-
-    def __le__(self, other: "Monomial") -> bool:
-        self._check_same_n(other)
-        return self.nu[::-1] >= other.nu[::-1]
-
-    def __gt__(self, other: "Monomial") -> bool:
-        self._check_same_n(other)
-        return self.nu[::-1] < other.nu[::-1]
-
-    def __ge__(self, other: "Monomial") -> bool:
-        self._check_same_n(other)
-        return self.nu[::-1] <= other.nu[::-1]
-
-    def __str__(self) -> str:
-        parts = []
-        for i, v in enumerate(self.nu):
-            if v == 1:
-                parts.append(f"a{i}")
-            elif v > 1:
-                parts.append(f"a{i}^{v}")
-        return "*".join(parts) if parts else "1"
 
 
 def _width(deg: int) -> int:
@@ -235,8 +176,9 @@ class SIPoly:
         if len(nu) != self.n + 1:
             return 0
         try:
+            _check_exponents(nu)
             key = _pack(nu, _width(self._deg))
-        except ValueError:  # negative, or above the degree bound
+        except ValueError:  # not a nonnegative int, or above the degree bound
             return 0
         return self._terms.get(key, 0)
 
@@ -331,9 +273,6 @@ class SIPoly:
         # nu_n sits in the top slot, so the least key is the greatest monomial
         return next(_unpack([min(self._terms)], self.n, _width(self._deg)))
 
-    def leading_monomial(self) -> Monomial:
-        return Monomial(self.leading_nu())
-
     def leading_coefficient(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
@@ -390,9 +329,11 @@ class SIPoly:
             return "0"
         parts = []
         for nu, c in self.sorted_terms():
-            mono = str(Monomial(nu))
+            mono = "*".join(
+                f"a{i}^{v}" if v > 1 else f"a{i}" for i, v in enumerate(nu) if v
+            )
             mag = abs(c)
-            if mono == "1":
+            if not mono:
                 body = str(mag)
             else:
                 body = mono if mag == 1 else f"{mag}*{mono}"

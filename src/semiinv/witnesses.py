@@ -3,8 +3,9 @@
 Triangulation brings a linearly independent family to a form with strictly
 decreasing leading terms under the anti-lexicographic order (same span).
 Every witness here is built from two steps: the kernel triangle of one
-stratum (its triangulated kernel basis, computed once per process, which
-must hold as many vectors as the dimension bound promises) and :func:`lemma_combine`, the staircase
+stratum (its triangulated kernel basis, computed once while the basis
+stays in the cache's memory, which must hold as many vectors as the
+dimension bound promises) and :func:`lemma_combine`, the staircase
 products of two triangulated families, whose leading terms stay pairwise
 distinct because the order is multiplicative.
 
@@ -122,8 +123,8 @@ def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
 def _kernel_triangle(
     n: int, k: int, m: int, cache_dir: str | os.PathLike | None
 ) -> tuple[SIPoly, ...]:
-    """The triangulated kernel of the (k, m) stratum, triangulated once per
-    process and kept beside the basis in the cache's memory."""
+    """The triangulated kernel of the (k, m) stratum, kept beside the basis
+    in the cache's memory and triangulated again only after an eviction."""
     key = (n, k, m)
     tri = cache._triangles.get(key)
     if tri is None:

@@ -1,8 +1,9 @@
 """Brute-force oracles shared by the tests.
 
 These deliberately avoid the production code paths: partitions are grown
-part by part as decreasing tuples, polynomials are expanded with plain
-dicts keyed by exponent tuples, and ranks and nullspaces are computed by
+part by part as decreasing tuples, monomials are ordered by comparing
+reversed exponent tuples, polynomials are expanded with plain dicts keyed
+by exponent tuples, and ranks and nullspaces are computed by
 dense elimination over Fractions.  The shape predicates and the ``QPoly``
 sums are kept here in their plain loop form, on coefficient tuples.
 """
@@ -46,6 +47,12 @@ def partition_to_nu(parts, k, n):
         nu[part] += 1
     nu[0] = k - len(parts)
     return tuple(nu)
+
+
+def antilex_greater(mu, nu):
+    """Order oracle: ``a^mu > a^nu`` anti-lexicographically, that is,
+    ``mu``'s reversed exponent vector is the lexicographically smaller."""
+    return mu[::-1] < nu[::-1]
 
 
 def brute_mul(terms1, terms2):

@@ -18,7 +18,7 @@ from semiinv.cayley import (
     sylvester_grid_mismatches,
 )
 from semiinv.differences import F, G, stanley_zanello
-from semiinv.monomials import Monomial, SIPoly
+from semiinv.monomials import SIPoly, _pack, _width
 from semiinv.qpoly import (
     gauss,
     is_strictly_unimodal_except_ends,
@@ -27,7 +27,7 @@ from semiinv.qpoly import (
 )
 from semiinv.witnesses import independence_check, strict_witnesses, triangulate
 
-from helpers import I1_TERMS, I2_TERMS, dense_rank
+from helpers import I1_TERMS, I2_TERMS, antilex_greater, dense_rank
 
 
 def _pass(num, message):
@@ -62,10 +62,7 @@ def test_criterion_03_worked_kernel_cell():
     assert delta(4, 4, 6) == 2
     kb = kernel_basis(4, 4, 6)
     tri = triangulate(kb.vectors)
-    assert [v.leading_monomial() for v in tri] == [
-        Monomial((0, 2, 2, 0, 0)),
-        Monomial((1, 0, 3, 0, 0)),
-    ]
+    assert [v.leading_nu() for v in tri] == [(0, 2, 2, 0, 0), (1, 0, 3, 0, 0)]
     i1 = SIPoly(4, I1_TERMS)
     i2 = SIPoly(4, I2_TERMS)
     assert apply_D(i1).is_zero()
@@ -184,18 +181,25 @@ def test_criterion_11_reduction_identity():
 def test_criterion_12_property_suites(tmp_path):
     rng = random.Random(10301)
 
-    # order totality and multiplicativity
-    def rand_mono():
-        return Monomial(tuple(rng.randint(0, 4) for _ in range(5)))
+    # order totality and multiplicativity: the packed keys the library runs
+    # ascend exactly when the reversed-tuple oracle's monomials descend
+    w = _width(8)
+
+    def rand_nu():
+        return tuple(rng.randint(0, 4) for _ in range(5))
 
     for _ in range(300):
-        a, b, c = rand_mono(), rand_mono(), rand_mono()
-        assert (a > b) == (b < a) and (a < b) == (b > a)
-        assert [a < b, a == b, a > b].count(True) == 1
-        if a >= b and b >= c:
-            assert a >= c
-        if a > b:
-            assert a * c > b * c
+        a, b, c = rand_nu(), rand_nu(), rand_nu()
+        ka, kb, kc = _pack(a, w), _pack(b, w), _pack(c, w)
+        assert (ka < kb) == antilex_greater(a, b)
+        assert (ka > kb) == antilex_greater(b, a)
+        assert (ka == kb) == (a == b)
+        if antilex_greater(a, b) and antilex_greater(b, c):
+            assert antilex_greater(a, c)
+        ac, bc = (tuple(x + y for x, y in zip(nu, c)) for nu in (a, b))
+        assert _pack(ac, w) == ka + kc
+        if antilex_greater(a, b):
+            assert antilex_greater(ac, bc) and _pack(ac, w) < _pack(bc, w)
 
     # the q-Pascal identity holds for the product-formula coefficients
     for a in range(1, 11):

@@ -12,10 +12,10 @@ from semiinv.boxpartitions import (
     delta,
     enumerate_partitions_in_box,
 )
-from semiinv.monomials import Monomial, _pack, _width
+from semiinv.monomials import _pack, _width
 from semiinv.qpoly import gauss
 
-from helpers import brute_count, brute_partitions, partition_to_nu
+from helpers import antilex_greater, brute_count, brute_partitions, partition_to_nu
 
 
 class TestCount:
@@ -224,9 +224,11 @@ class TestEnumerate:
 
     def test_descending_antilex_order(self):
         for (k, n, m) in [(4, 4, 6), (3, 3, 4), (5, 2, 5), (2, 6, 7)]:
-            monos = [Monomial(nu) for nu in enumerate_partitions_in_box(k, n, m)]
-            for a, b in zip(monos, monos[1:]):
-                assert a > b
+            nus = enumerate_partitions_in_box(k, n, m)
+            keys = [_pack(nu, _width(k)) for nu in nus]
+            assert keys == sorted(set(keys))
+            for a, b in zip(nus, nus[1:]):
+                assert antilex_greater(a, b)
 
     def test_ascending_reversed_vectors_on_every_small_box(self):
         # with the set checked against brute force, this pins the whole list

@@ -25,7 +25,7 @@ from semiinv.cayley import (
     shear_check,
     shear_coefficients,
 )
-from semiinv.monomials import Monomial, SIPoly, _unpack, _width
+from semiinv.monomials import SIPoly, _unpack, _width
 
 from helpers import I1_TERMS, I2_TERMS, dense_kernel, dense_rank
 

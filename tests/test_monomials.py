@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiinv.boxpartitions import enumerate_partitions_in_box
-from semiinv.monomials import Monomial, SIPoly, _pack
+from semiinv.monomials import SIPoly, _pack, _width
 
-from helpers import I1_TERMS, I2_TERMS, RefPoly, brute_mul
+from helpers import I1_TERMS, I2_TERMS, RefPoly, antilex_greater, brute_mul
 
 # the worked descending chain for n=4, degree 4, weight 6
 CHAIN = [
@@ -23,95 +24,106 @@ CHAIN = [
 ]
 
 
-def random_monomial(rng, n, max_exp=4):
-    return Monomial(tuple(rng.randint(0, max_exp) for _ in range(n + 1)))
+# one slot width for every key packed below; it fits the exponent sums
+MAX_EXP = 4
+W = _width(2 * MAX_EXP)
+
+
+def random_nu(rng, n):
+    return tuple(rng.randint(0, MAX_EXP) for _ in range(n + 1))
+
+
+def add(mu, nu):
+    return tuple(map(operator.add, mu, nu))
 
 
 class TestOrder:
+    """The order the library runs, ascending packed keys, against the
+    reversed-tuple oracle."""
+
     def test_normative_chain(self):
-        monos = [Monomial(nu) for nu in CHAIN]
-        for a, b in zip(monos, monos[1:]):
-            assert a > b
-            assert not a <= b
-            assert b < a
+        for a, b in zip(CHAIN, CHAIN[1:]):
+            assert antilex_greater(a, b) and not antilex_greater(b, a)
+            assert _pack(a, W) < _pack(b, W)
+        p = SIPoly(4, dict.fromkeys(reversed(CHAIN), 1))
+        assert [nu for nu, _ in p.sorted_terms()] == CHAIN
+        assert p.leading_nu() == CHAIN[0]
 
     def test_chain_is_exactly_the_stratum(self):
         got = enumerate_partitions_in_box(4, 4, 6)
         assert got == CHAIN
 
     def test_equality(self):
-        m = Monomial((1, 2, 0))
-        assert m == Monomial((1, 2, 0))
-        assert m <= Monomial((1, 2, 0)) and m >= Monomial((1, 2, 0))
-        assert not m < Monomial((1, 2, 0))
-
-    def test_mismatched_n_rejected(self):
-        with pytest.raises(ValueError):
-            Monomial((1, 0)) > Monomial((1, 0, 0))
-        with pytest.raises(ValueError):
-            Monomial((1, 0)) < Monomial((1, 0, 0))
+        nu = (1, 2, 0)
+        assert _pack(nu, W) == _pack((1, 2, 0), W)
+        assert not antilex_greater(nu, (1, 2, 0))
+        assert SIPoly.term(2, nu) == SIPoly.term(2, (1, 2, 0))
 
     def test_sort_matches_pairwise_rule(self):
-        # brute-force oracle: selection sort by pairwise reversed-tuple rule
-        monos = [Monomial(nu) for nu in enumerate_partitions_in_box(3, 3, 4)]
+        # brute-force oracle: selection sort by the pairwise reversed-tuple rule
+        nus = enumerate_partitions_in_box(3, 3, 4)
         rng = random.Random(7)
-        shuffled = monos[:]
+        shuffled = nus[:]
         rng.shuffle(shuffled)
         result = []
         pool = shuffled[:]
         while pool:
             best = pool[0]
             for cand in pool[1:]:
-                if cand.nu[::-1] < best.nu[::-1]:
+                if antilex_greater(cand, best):
                     best = cand
             pool.remove(best)
             result.append(best)
-        assert result == sorted(shuffled, reverse=True)
-        assert result == monos
+        assert result == sorted(shuffled, key=lambda nu: _pack(nu, W))
+        assert result == nus
+        p = SIPoly(3, dict.fromkeys(shuffled, 1))
+        assert [nu for nu, _ in p.sorted_terms()] == result
 
     def test_totality_on_random_triples(self):
         rng = random.Random(99)
         for _ in range(300):
-            a, b, c = (random_monomial(rng, 4) for _ in range(3))
-            # antisymmetry, and exactly one of <, ==, >
-            assert (a > b) == (b < a) and (a < b) == (b > a)
-            assert [a < b, a == b, a > b].count(True) == 1
+            a, b, c = (random_nu(rng, 4) for _ in range(3))
+            ka, kb, kc = (_pack(nu, W) for nu in (a, b, c))
+            # keys ascend exactly when the monomials descend
+            assert (ka < kb) == antilex_greater(a, b)
+            assert (ka > kb) == antilex_greater(b, a)
+            assert (ka == kb) == (a == b)
             # transitivity
-            if a >= b and b >= c:
-                assert a >= c
+            if antilex_greater(a, b) and antilex_greater(b, c):
+                assert antilex_greater(a, c) and ka < kc
 
     def test_multiplicativity(self):
         rng = random.Random(4242)
         for _ in range(300):
-            m1, m2, s = (random_monomial(rng, 5) for _ in range(3))
-            if m1 > m2:
-                assert m1 * s > m2 * s
-            elif m2 > m1:
-                assert m2 * s > m1 * s
+            m1, m2, s = (random_nu(rng, 5) for _ in range(3))
+            assert _pack(add(m1, s), W) == _pack(m1, W) + _pack(s, W)
+            hi, lo = (m1, m2) if antilex_greater(m1, m2) else (m2, m1)
+            if hi != lo:
+                assert antilex_greater(add(hi, s), add(lo, s))
+                assert _pack(add(hi, s), W) < _pack(add(lo, s), W)
 
 
 class TestMonomial:
+    """Single-term polynomials: degree and weight, validation, printing."""
+
     def test_degree_weight(self):
-        m = Monomial((1, 0, 2, 1))
-        assert m.degree == 4
-        assert m.weight == 7
+        m = SIPoly.term(3, (1, 0, 2, 1))
+        assert m.bidegree() == (4, 7)
         assert m.n == 3
 
     def test_box_partition_degree_and_weight(self):
         for nu in enumerate_partitions_in_box(3, 4, 5):
-            m = Monomial(nu)
-            assert m.degree == 3
-            assert m.weight == 5
+            assert SIPoly.term(4, nu).bidegree() == (3, 5)
 
     def test_validation(self):
-        # empty, negative, and a float or bool that passes a sign check
+        # wrong length, negative, and a float or bool that passes a sign check
         for nu in [(), (1, -1), (0.0, 2), (True, 1)]:
             with pytest.raises(ValueError):
-                Monomial(nu)
+                SIPoly(1, {nu: 1})
 
     def test_str(self):
-        assert str(Monomial((0, 2, 2, 0, 0))) == "a1^2*a2^2"
-        assert str(Monomial((0, 0, 0))) == "1"
+        assert str(SIPoly.term(4, (0, 2, 2, 0, 0))) == "a1^2*a2^2"
+        assert str(SIPoly.term(2, (0, 0, 0))) == "1"
 
 
 class TestSIPoly:
@@ -137,17 +149,17 @@ class TestSIPoly:
     def test_leading_terms_of_explicit_pair(self):
         i1 = SIPoly(4, I1_TERMS)
         i2 = SIPoly(4, I2_TERMS)
-        assert i1.leading_monomial() == Monomial((0, 2, 2, 0, 0))
-        assert i2.leading_monomial() == Monomial((1, 0, 3, 0, 0))
+        assert i1.leading_nu() == (0, 2, 2, 0, 0)
+        assert i2.leading_nu() == (1, 0, 3, 0, 0)
         assert i1.leading_coefficient() == 3
 
     def test_leading_term_of_single_monomial(self):
         p = SIPoly.term(3, (1, 0, 2, 0), 5)
-        assert p.leading_monomial() == Monomial((1, 0, 2, 0))
+        assert p.leading_nu() == (1, 0, 2, 0)
 
     def test_leading_term_of_zero_rejected(self):
         with pytest.raises(ValueError):
-            SIPoly.zero(3).leading_monomial()
+            SIPoly.zero(3).leading_nu()
 
     def test_product_against_brute_expansion(self):
         i1 = SIPoly(4, I1_TERMS)
@@ -157,7 +169,7 @@ class TestSIPoly:
         assert dict(prod.items()) == {
             nu: Fraction(c) for nu, c in expected.items()
         }
-        assert prod.leading_monomial() == Monomial((1, 2, 5, 0, 0))
+        assert prod.leading_nu() == (1, 2, 5, 0, 0)
 
     def test_product_bidegree_adds(self):
         i1 = SIPoly(4, I1_TERMS)
@@ -185,14 +197,16 @@ class TestSIPoly:
             )
             if p.is_zero() or q.is_zero() or (p * q).is_zero():
                 continue
-            assert (p * q).leading_monomial() == p.leading_monomial() * q.leading_monomial()
+            assert (p * q).leading_nu() == add(p.leading_nu(), q.leading_nu())
 
     @pytest.mark.parametrize(
-        "nu", [(1, 0), (1, -1, 0), (0.0, 1, 1), (1, 1.0, 0), (True, 0, 0)]
+        "nu", [(1, 0), (1, -1, 0), (0.0, 1, 1), (1, 1.0, 0), (True, 0, 0), (1.0, 0, 0)]
     )
     def test_exponent_vector_validation(self, nu):
         with pytest.raises(ValueError):
             SIPoly(2, {nu: 1})
+        # a vector SIPoly rejects has coefficient 0, even one that == (1, 0, 0)
+        assert SIPoly(2, {(1, 0, 0): 3}).coefficient(nu) == 0
 
     def test_mixed_n_rejected(self):
         with pytest.raises(ValueError):

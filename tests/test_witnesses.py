@@ -7,7 +7,7 @@ from semiinv import cache, witnesses
 from semiinv.boxpartitions import delta
 from semiinv.cache import canonical_json_bytes, kernel_basis_cached
 from semiinv.cayley import KernelBasis, apply_D, kernel_basis
-from semiinv.monomials import Monomial, SIPoly
+from semiinv.monomials import SIPoly
 from semiinv.witnesses import (
     DependenceError,
     base_grid_deltas,
@@ -18,16 +18,13 @@ from semiinv.witnesses import (
     triangulate,
 )
 
-from helpers import I1_TERMS, I2_TERMS, dense_rank
+from helpers import I1_TERMS, I2_TERMS, antilex_greater, dense_rank
 
 
 class TestTriangulate:
     def test_worked_cell_leading_terms(self):
         tri = triangulate(kernel_basis(4, 4, 6).vectors)
-        assert [v.leading_monomial() for v in tri] == [
-            Monomial((0, 2, 2, 0, 0)),
-            Monomial((1, 0, 3, 0, 0)),
-        ]
+        assert [v.leading_nu() for v in tri] == [(0, 2, 2, 0, 0), (1, 0, 3, 0, 0)]
 
     def test_worked_cell_printed(self):
         tri = triangulate(kernel_basis(4, 4, 6).vectors)
@@ -45,8 +42,8 @@ class TestTriangulate:
     def test_strictly_decreasing_leads(self):
         kb = kernel_basis(6, 4, 8)
         tri = triangulate(kb.vectors)
-        leads = [v.leading_monomial() for v in tri]
-        assert all(a > b for a, b in zip(leads, leads[1:]))
+        leads = [v.leading_nu() for v in tri]
+        assert all(antilex_greater(a, b) for a, b in zip(leads, leads[1:]))
 
     def test_span_preserved_under_random_recombination(self):
         kb = kernel_basis(6, 4, 8)
@@ -94,7 +91,7 @@ class TestNr8Witnesses:
         for w in (j1, j2):
             assert w.bidegree() == (8, 32)
             assert apply_D(w).is_zero()
-        assert j1.leading_monomial() > j2.leading_monomial()
+        assert antilex_greater(j1.leading_nu(), j2.leading_nu())
         assert independence_check([j1, j2])
 
     def test_reduction_cell_8_24(self):
@@ -103,7 +100,7 @@ class TestNr8Witnesses:
         for w in (j1, j2):
             assert w.bidegree() == (24, 96)
             assert apply_D(w).is_zero()
-        assert j1.leading_monomial() > j2.leading_monomial()
+        assert antilex_greater(j1.leading_nu(), j2.leading_nu())
         assert independence_check([j1, j2])
 
     def test_odd_n_cell_9_8(self):
@@ -137,7 +134,7 @@ class TestStrictWitnesses:
             assert w.bidegree() == (10, 40)
             assert apply_D(w).is_zero()
         assert independence_check(ws)
-        leads = [w.leading_monomial() for w in ws]
+        leads = [w.leading_nu() for w in ws]
         assert len(set(leads)) == len(leads)
 
     def test_gap_zero_cell_returns_single_kernel_vector(self):
@@ -224,6 +221,40 @@ class TestTriangleMemo:
         cache.clear_memory_cache()
 
 
+class TestMemoryBudget:
+    # (6, 4, 8) is asked for again while still held; (4, 4, 6) after eviction
+    CELLS = [(4, 4, 6), (4, 2, 4), (6, 4, 8), (4, 3, 6), (6, 4, 8), (4, 4, 6),
+             (6, 4, 12), (4, 6, 12), (5, 4, 10), (4, 4, 6)]
+
+    def _ask(self):
+        """Each cell's basis and kernel triangle, asked for in turn."""
+        for cell in self.CELLS:
+            tri = witnesses._kernel_triangle(*cell, None)
+            yield cell, kernel_basis_cached(*cell).vectors, tri
+
+    def test_small_budget_keeps_results_and_bounds_both_memos(self, monkeypatch):
+        cache.clear_memory_cache()
+        try:
+            expected = [(vectors, tri) for _, vectors, tri in self._ask()]
+            assert set(cache._memory) == set(self.CELLS)  # nothing evicted
+            cache.clear_memory_cache()
+            budget = 30
+            monkeypatch.setattr(cache, "_MEMORY_BUDGET", budget)
+            for (cell, vectors, tri), want in zip(self._ask(), expected):
+                assert (vectors, tri) == want
+                sizes = {key: sum(map(len, kb.vectors))
+                         for key, kb in cache._memory.items()}
+                assert cache._memory_size == sum(sizes.values())
+                # within the budget, or holding only the entry just inserted
+                assert cache._memory_size <= budget + sizes[cell]
+                assert cache._memory_size <= budget or list(sizes) == [cell]
+                assert cache._triangles.keys() <= cache._memory.keys()
+            assert len(cache._memory) < len(set(self.CELLS))
+        finally:
+            cache.clear_memory_cache()
+        assert cache._memory_size == 0
+
+
 class TestWitnessGoldens:
     # sha256 of each family's canonical JSON, the first three recorded with
     # tuple-keyed, Fraction-valued SIPoly arithmetic; the last two pin the
@@ -265,18 +296,29 @@ class TestLemmaCombine:
             assert w.bidegree() == (8, 12)
             assert apply_D(w).is_zero()
         assert dense_rank(out) == 3
-        leads = [w.leading_monomial() for w in out]
+        leads = [w.leading_nu() for w in out]
         assert len(set(leads)) == 3
-        assert all(a > b for a, b in zip(leads, leads[1:]))
+        assert all(antilex_greater(a, b) for a, b in zip(leads, leads[1:]))
 
     def test_untriangulated_input_rejected(self):
-        i1 = SIPoly(4, I1_TERMS)
-        with pytest.raises(ValueError):
-            lemma_combine([i1, i1], [i1])
+        i1, i2 = SIPoly(4, I1_TERMS), SIPoly(4, I2_TERMS)
+        # equal leads, then increasing ones (i2's lead is below i1's)
+        for b1, b2 in [([i1, i1], [i1]), ([i1], [i2, i1])]:
+            with pytest.raises(ValueError, match="inputs must be triangulated"):
+                lemma_combine(b1, b2)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lemma_combine([], [SIPoly(4, I1_TERMS)])
+        i1 = SIPoly(4, I1_TERMS)
+        for b1, b2 in [([], [i1]), ([i1], [])]:
+            with pytest.raises(ValueError, match="both bases must be nonempty"):
+                lemma_combine(b1, b2)
+
+    def test_mixed_form_degrees_rejected(self):
+        i1, c3 = SIPoly(4, I1_TERMS), SIPoly.constant(3)
+        with pytest.raises(ValueError, match="mixed form degrees"):
+            triangulate([i1, c3])
+        with pytest.raises(ValueError, match="mixed form degrees"):
+            lemma_combine([i1], [c3])
 
 
 class TestRingClosure:
