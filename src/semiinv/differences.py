@@ -61,7 +61,10 @@ class VerificationError(RuntimeError):
 
 
 def coefficients_digest(p: QPoly) -> str:
-    data = ",".join(map(str, p.coeffs)).encode()
+    # one C-level format call, with no string object per coefficient; "%s"
+    # is str() of each one, where "%d" would turn 1.5 into "1"
+    cs = p.coeffs
+    data = (("%s," * len(cs))[:-1] % cs).encode()
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 

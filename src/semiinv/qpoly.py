@@ -47,6 +47,7 @@ that has just made it.
 from __future__ import annotations
 
 import operator
+import sys
 from itertools import accumulate, compress, count, islice
 from typing import Iterable, Iterator
 
@@ -225,9 +226,11 @@ def _chain_step(prev: tuple[int, ...], c: int, i: int) -> tuple[int, ...]:
 def gauss(a: int, b: int) -> QPoly:
     """Gaussian coefficient ``[a over b]`` as a polynomial in ``q``.
 
-    Requires ``0 <= b <= a``.  The result has nonnegative coefficients and
-    degree ``b * (a - b)``; coefficient ``m`` counts partitions of ``m``
-    with at most ``b`` parts, each at most ``a - b``.
+    Requires ``0 <= b <= a``, and a degree ``b * (a - b)`` below
+    ``sys.maxsize`` so that the coefficients fit in a tuple.  The result has
+    nonnegative coefficients and degree ``b * (a - b)``; coefficient ``m``
+    counts partitions of ``m`` with at most ``b`` parts, each at most
+    ``a - b``.
 
     >>> print(gauss(4, 2))
     1 + q + 2q^2 + q^3 + q^4
@@ -243,6 +246,9 @@ def gauss(a: int, b: int) -> QPoly:
     c = a - j
     coeffs = _MEMO.get((c, j)) if j else (1,)
     if coeffs is None:
+        if j * c >= sys.maxsize:
+            raise ValueError(f"gauss({a},{b}): degree {j * c} has more "
+                             "coefficients than a tuple can hold")
         i = j - 1
         while i and (c, i) not in _MEMO:
             i -= 1

@@ -40,10 +40,12 @@ class TestGaussCommand:
         assert json.loads(out) == {"coeffs": ["1", "1", "2", "1", "1"]}
 
     def test_domain_error_exit_code(self, capsys):
-        code, out, err = run_cli(capsys, "gauss", "3", "7")
-        assert code == 2
-        assert out == ""
-        assert "gauss" in err
+        # the second: a degree too large for a tuple of coefficients
+        for a, b in [("3", "7"), (str(10**20), "1")]:
+            code, out, err = run_cli(capsys, "gauss", a, b)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "gauss" in err
 
 
 class TestDimCommand:

@@ -1,7 +1,10 @@
 import concurrent.futures
+import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semiinv import differences
 from semiinv.boxpartitions import count_partitions_in_box, delta
@@ -377,6 +380,19 @@ class TestReports:
         assert coefficients_digest(F(4, 3)) == coefficients_digest(F(4, 3))
         assert coefficients_digest(F(4, 3)) != coefficients_digest(F(4, 4))
         assert coefficients_digest(F(4, 3)).startswith("sha256:")
+        # recorded with ",".join(map(str, coeffs)) at 8ec4d10
+        assert coefficients_digest(F(4, 3)) == (
+            "sha256:757438085616487b09508bdb3f5503b2def5d04b8d5334a43b72d5de00eab0ec")
+        # the zero polynomial hashes the empty string
+        assert coefficients_digest(QPoly()) == (
+            "sha256:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=40), st.integers(0, 3))
+    def test_digest_is_sha256_of_comma_joined_decimals(self, cs, zeros):
+        cs = cs + [0] * zeros  # trailing zeros, which QPoly strips
+        text = ",".join(map(str, QPoly(cs).coeffs))
+        assert coefficients_digest(QPoly(cs)) == (
+            "sha256:" + hashlib.sha256(text.encode()).hexdigest())
 
     def test_witness_invariant(self):
         with pytest.raises(ValueError):

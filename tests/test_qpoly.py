@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,11 @@ class TestGauss:
             gauss(-1, 0)
         with pytest.raises(ValueError):
             gauss(3, -2)
+        # a degree-d result needs d + 1 coefficients, at most sys.maxsize
+        for a, b in [(10**20, 1), (10**20, 10**20 - 1), (sys.maxsize + 1, 1)]:
+            with pytest.raises(ValueError, match="more coefficients than a tuple"):
+                gauss(a, b)
+        assert gauss(10**20, 0) == gauss(10**20, 10**20) == QPoly([1])
 
     @pytest.mark.parametrize("a", range(1, 9))
     def test_pascal_recurrence(self, a):

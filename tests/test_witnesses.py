@@ -319,6 +319,12 @@ class TestLemmaCombine:
             triangulate([i1, c3])
         with pytest.raises(ValueError, match="mixed form degrees"):
             lemma_combine([i1], [c3])
+        # a base mixing degrees, whose leads also fail the triangulation
+        # check: the degree check must come first
+        x4, z4, y5 = SIPoly.variable(4, 4), SIPoly.variable(4, 3), SIPoly.variable(5, 0)
+        for b1, b2 in [([x4, y5], [z4]), ([x4], [z4, y5])]:
+            with pytest.raises(ValueError, match="mixed form degrees"):
+                lemma_combine(b1, b2)
 
 
 class TestRingClosure:
