@@ -30,9 +30,10 @@ Counting uses a two-dimensional recurrence over the box,
 (split on whether some part equals ``n``), memoized per ``(k, n)`` with
 the whole weight vector stored, since delta scans reuse the same boxes
 heavily.  Each vector is one slice addition of the shorter box's vector,
-shifted by ``n``, onto the narrower box's.  :func:`delta` reads one
-vector once, and ``_delta_row`` reads the deltas of a run of weights from
-one vector, as one subtraction of the run from itself shifted by one.  The
+shifted by ``n``, onto the narrower box's.  :func:`delta` at weight ``m``
+reads one vector once, of the box cut to ``m x m``, and ``_delta_row``
+reads the deltas of a run of weights from one vector, as one subtraction
+of the run from itself shifted by one.  The
 memo is filled iteratively, row by row (``k`` fixed, ``n`` rising), from
 the highest row already complete, so a box of any shape needs no recursion
 and the box one row up costs one row.  Its budget is a fixed number of
@@ -119,7 +120,8 @@ def delta(k: int, n: int, m: int) -> int:
     top = n * k
     if not 0 <= m <= top + 1:
         return 0
-    table = _count_table(k, n)
+    # a partition of m or m - 1 has at most m parts, each at most m
+    table = _count_table(min(k, m), min(n, m))
     return (table[m] if m <= top else 0) - (table[m - 1] if m else 0)
 
 

@@ -13,12 +13,11 @@ other vector's trailing monomial.  Together these force a loaded basis to
 equal the one :func:`~semiinv.cayley.kernel_basis` computes.  Anything
 corrupt is recomputed and rewritten rather than trusted.
 
-Beside each basis in memory the process keeps its triangulation, computed
-by :mod:`semiinv.witnesses` the first time it is asked for.  The memory's
-budget is a fixed number of stored basis terms; an insert that pushes it
-past the budget clears both memos down to the entry in hand, the policy of
-the ``gauss`` memo.  Entries are exact and are only ever dropped, so
-results never depend on call order or eviction.
+The memory holds bases only.  Its budget is a fixed number of stored basis
+terms; an insert that pushes it past the budget clears the memo down to
+the entry in hand, the policy of the ``gauss`` memo.  Entries are exact
+and are only ever dropped, so results never depend on call order or
+eviction.
 
 Both the write and the byte check encode a basis with
 :func:`kernel_json_bytes`, which holds one vector's JSON objects at a time
@@ -38,14 +37,10 @@ from pathlib import Path
 
 from .boxpartitions import delta
 from .cayley import KernelBasis, kernel_basis
-from .monomials import SIPoly
 
 ENV_VAR = "SEMIINV_CACHE"
 
 _memory: dict[tuple[int, int, int], KernelBasis] = {}
-# (n, k, m) -> the triangulated vectors of _memory[n, k, m], filled by
-# semiinv.witnesses; its keys stay a subset of _memory's
-_triangles: dict[tuple[int, int, int], tuple[SIPoly, ...]] = {}
 # the number of terms of the bases in _memory, kept within _MEMORY_BUDGET
 # by _remember
 _memory_size = 0
@@ -174,5 +169,4 @@ def _remember(key: tuple[int, int, int], kb: KernelBasis) -> None:
 def clear_memory_cache() -> None:
     global _memory_size
     _memory.clear()
-    _triangles.clear()
     _memory_size = 0

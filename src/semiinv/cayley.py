@@ -115,7 +115,8 @@ def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
     row_index = {key: r for r, key in enumerate(_stratum_keys(k, n, m - 1))}
     w = _width(k)
     mask = (1 << w) - 1
-    steps = _lowering_steps(n, w)
+    # a slot above the weight never holds an exponent
+    steps = _lowering_steps(min(n, m), w)
     cols = []
     for key in col_keys:
         col: dict[int, int] = {}

@@ -38,7 +38,7 @@ from .differences import (
     write_jsonl,
 )
 from .qpoly import gauss
-from .witnesses import _kernel_triangle, base_grid_deltas
+from .witnesses import _triangle, base_grid_deltas
 
 DEFAULT_CACHE_DIR = ".semiinv-cache"
 
@@ -84,7 +84,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    tri = _kernel_triangle(args.n, args.k, args.m, _cache_dir(args))
+    tri = _triangle(args.n, args.k, args.m, 0, _cache_dir(args))
     data = cache.kernel_json_bytes(KernelBasis(args.n, args.k, args.m, tri))
     if args.out:
         cache.atomic_write_bytes(Path(args.out), data)

@@ -3,11 +3,12 @@
 Triangulation brings a linearly independent family to a form with strictly
 decreasing leading terms under the anti-lexicographic order (same span).
 Every witness here is built from two steps: the kernel triangle of one
-stratum (its triangulated kernel basis, computed once while the basis
-stays in the cache's memory, which must hold as many vectors as the
-dimension bound promises) and :func:`lemma_combine`, the staircase
+stratum (its triangulated kernel basis, which must hold as many vectors as
+the dimension bound promises) and :func:`lemma_combine`, the staircase
 products of two triangulated families, whose leading terms stay pairwise
-distinct because the order is multiplicative.
+distinct because the order is multiplicative.  A triangle is computed
+once per basis object and memoized under a weak reference to it, so the
+cache's eviction drops it, and a basis loaded again is a new object.
 
 * :func:`nr8_witnesses` produces two independent semi-invariants of degree
   ``r`` and weight ``n*r/2`` for any ``n, r >= 8`` with ``n*r`` even: the
@@ -29,11 +30,16 @@ from __future__ import annotations
 import os
 from math import gcd
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
-from . import cache
 from .boxpartitions import delta
 from .cache import kernel_basis_cached
+from .cayley import KernelBasis
 from .monomials import SIPoly
+
+# KernelBasis -> its triangulated vectors; an entry lives as long as its
+# basis object (KernelBasis hashes by identity)
+_triangle_memo: WeakKeyDictionary[KernelBasis, tuple[SIPoly, ...]] = WeakKeyDictionary()
 
 
 class DependenceError(ValueError):
@@ -120,24 +126,14 @@ def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
     return out
 
 
-def _kernel_triangle(
-    n: int, k: int, m: int, cache_dir: str | os.PathLike | None
-) -> tuple[SIPoly, ...]:
-    """The triangulated kernel of the (k, m) stratum, kept beside the basis
-    in the cache's memory and triangulated again only after an eviction."""
-    key = (n, k, m)
-    tri = cache._triangles.get(key)
-    if tri is None:
-        tri = tuple(triangulate(kernel_basis_cached(n, k, m, cache_dir).vectors))
-        cache._triangles[key] = tri
-    return tri
-
-
 def _triangle(
     n: int, k: int, m: int, d: int, cache_dir: str | os.PathLike | None
 ) -> tuple[SIPoly, ...]:
     """The kernel triangle of the (k, m) stratum; ``d`` vectors or more."""
-    tri = _kernel_triangle(n, k, m, cache_dir)
+    kb = kernel_basis_cached(n, k, m, cache_dir)
+    tri = _triangle_memo.get(kb)
+    if tri is None:
+        tri = _triangle_memo[kb] = tuple(triangulate(kb.vectors))
     if len(tri) < d:
         raise RuntimeError(f"kernel at (n={n}, k={k}, m={m}) has {len(tri)} vectors; "
                            f"the dimension bound guarantees at least {d}")

@@ -6,12 +6,18 @@ reversed exponent tuples, polynomials are expanded with plain dicts keyed
 by exponent tuples, and ranks and nullspaces are computed by
 dense elimination over Fractions.  The shape predicates and the ``QPoly``
 sums are kept here in their plain loop form, on coefficient tuples.
+:func:`run_capped` runs a Python child with bounded memory and time.
 """
 
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
+import semiinv
 from semiinv.qpoly import NonnegativityViolation
 
 
@@ -310,3 +316,23 @@ def loop_strictness_break(cs):
     while i + 1 <= d - 1 and cs[i] > cs[i + 1]:
         i += 1
     return None if i == d - 1 else i + 1
+
+
+def run_capped(*args, memory=1 << 28, timeout=60):
+    """``python *args`` with this ``semiinv`` importable, its address space
+    capped at ``memory`` bytes, so a case that should be cheap fails fast
+    instead of filling the machine's memory; raises on ``timeout``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semiinv.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=cap,
+        timeout=timeout,
+    )

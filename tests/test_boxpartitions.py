@@ -15,7 +15,7 @@ from semiinv.boxpartitions import (
 from semiinv.monomials import _pack, _width
 from semiinv.qpoly import gauss
 
-from helpers import antilex_greater, brute_count, brute_partitions, partition_to_nu
+from helpers import antilex_greater, brute_count, brute_partitions, partition_to_nu, run_capped
 
 
 class TestCount:
@@ -171,6 +171,20 @@ class TestDelta:
                 if (n * r) % 2:
                     continue
                 assert delta(r, n, n * r // 2) >= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12 + 12 + 1))
+    def test_matches_brute_force_difference(self, k, n, m):
+        # weights up to k + n + 1 reach every box cut to m x m and, on thin
+        # boxes, the weight n*k + 1 past the box
+        m %= n * k + 2
+        assert delta(k, n, m) == brute_count(k, n, m) - brute_count(k, n, m - 1)
+
+    def test_long_box_at_small_weight(self):
+        # a weight-m partition fits the m x m box, so no table is n long
+        proc = run_capped("-c", "from semiinv.boxpartitions import delta; "
+                          "print(delta(1, 10**5, 1), delta(3, 10**6, 2))")
+        assert (proc.returncode, proc.stdout) == (0, "0 1\n"), proc.stderr
 
     @settings(max_examples=200)
     @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12 * 12 + 4))

@@ -96,14 +96,16 @@ class TestMatrix:
                 assert abs_sum == m
 
     def test_columns_match_operator(self):
-        n, k, m = 4, 3, 5
-        mat = build_D_matrix(n, k, m)
-        col_basis = enumerate_partitions_in_box(k, n, m)
-        row_basis = enumerate_partitions_in_box(k, n, m - 1)
-        for j, nu in enumerate(col_basis):
-            image = apply_D(SIPoly.term(n, nu, 1))
-            expected = {row_basis.index(mu): int(c) for mu, c in image.items()}
-            assert mat.cols[j] == expected
+        # past (4, 3, 5), m < n: the matrix stops at slot m, apply_D runs
+        # over all n slots
+        for n, k, m in [(4, 3, 5), (7, 3, 2), (9, 2, 4), (6, 4, 5), (12, 1, 1)]:
+            mat = build_D_matrix(n, k, m)
+            col_basis = enumerate_partitions_in_box(k, n, m)
+            row_basis = enumerate_partitions_in_box(k, n, m - 1)
+            for j, nu in enumerate(col_basis):
+                image = apply_D(SIPoly.term(n, nu, 1))
+                expected = {row_basis.index(mu): int(c) for mu, c in image.items()}
+                assert mat.cols[j] == expected
 
     def test_bad_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,8 @@ import semiinv
 from semiinv import cache, differences
 from semiinv.cli import main
 
+from helpers import run_capped
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -73,6 +75,12 @@ class TestDimCommand:
         code, out, _ = run_cli(capsys, "dim", "1200", "1", "1")
         assert code == 0
         assert out.strip() == "delta=0 kernel=0 MATCH"
+
+    def test_huge_form_degree_at_weight_one(self):
+        # weight 1 needs one lowering step and a 1 x 1 box, whatever n is
+        proc = run_capped("-m", "semiinv.cli", "dim", str(10**20), "1", "1")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "delta=0 kernel=0 MATCH\n"
 
     def test_above_middle_unchecked(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "2", "2", "3")

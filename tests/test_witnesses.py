@@ -179,14 +179,14 @@ class TestKernelTriangleGuard:
         ids=["nr8-8-8", "nr8-8-16", "strict-8-12-8-48"],
     )
     def test_too_few_kernel_vectors_raise(self, monkeypatch, build):
-        # every stratum's kernel triangle comes back cut to its first vector,
+        # every stratum's kernel basis comes back cut to its first vector,
         # below the two the nr8 pair and the gap-two staircase need
-        real = witnesses._kernel_triangle
+        real = witnesses.kernel_basis_cached
 
         def first_only(n, k, m, cache_dir=None):
-            return real(n, k, m, cache_dir)[:1]
+            return KernelBasis(n, k, m, real(n, k, m, cache_dir).vectors[:1])
 
-        monkeypatch.setattr(witnesses, "_kernel_triangle", first_only)
+        monkeypatch.setattr(witnesses, "kernel_basis_cached", first_only)
         with pytest.raises(RuntimeError, match="guarantees at least 2"):
             build()
 
@@ -209,13 +209,13 @@ class TestTriangleMemo:
             assert cli.main(["basis", "8", "8", "32", "--cache-dir", str(tmp_path)]) == 0
             assert nr8_witnesses(8, 16)[0] == (first[0] * first[0]).primitive()
             assert calls == [7]  # (8, 8, 32), triangulated for the first call only
-            tri = cache._triangles[8, 8, 32]
+            tri = witnesses._triangle_memo[cache._memory[8, 8, 32]]
             assert isinstance(tri, tuple) and tri[:2] == first
             assert capsys.readouterr().out == canonical_json_bytes(
                 KernelBasis(8, 8, 32, tri).to_json_obj()).decode()
         finally:
             cache.clear_memory_cache()
-        assert cache._triangles == {} and cache._memory == {}
+        assert len(witnesses._triangle_memo) == 0 and cache._memory == {}
         nr8_witnesses(8, 8)
         assert calls == [7, 7]
         cache.clear_memory_cache()
@@ -229,7 +229,7 @@ class TestMemoryBudget:
     def _ask(self):
         """Each cell's basis and kernel triangle, asked for in turn."""
         for cell in self.CELLS:
-            tri = witnesses._kernel_triangle(*cell, None)
+            tri = witnesses._triangle(*cell, 0, None)
             yield cell, kernel_basis_cached(*cell).vectors, tri
 
     def test_small_budget_keeps_results_and_bounds_both_memos(self, monkeypatch):
@@ -248,7 +248,11 @@ class TestMemoryBudget:
                 # within the budget, or holding only the entry just inserted
                 assert cache._memory_size <= budget + sizes[cell]
                 assert cache._memory_size <= budget or list(sizes) == [cell]
-                assert cache._triangles.keys() <= cache._memory.keys()
+                # every live triangle's basis is one the memo holds, and the
+                # triangle just asked for is kept with its basis
+                held = set(map(id, cache._memory.values()))
+                assert {id(kb) for kb in witnesses._triangle_memo.keys()} <= held
+                assert witnesses._triangle_memo[cache._memory[cell]] is tri
             assert len(cache._memory) < len(set(self.CELLS))
         finally:
             cache.clear_memory_cache()
