@@ -59,6 +59,11 @@ _COUNT_SIZE = 0
 _COUNT_BUDGET = 1 << 20
 
 
+def _check_box(k: int, n: int) -> None:
+    if k < 0 or n < 0:
+        raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
+
+
 def _count_table(k: int, n: int) -> tuple[int, ...]:
     """Vector of p(k, n, m) for m = 0..n*k."""
     global _COUNT_SIZE
@@ -106,8 +111,7 @@ def count_partitions_in_box(k: int, n: int, m: int) -> int:
 
     Returns 0 for ``m < 0`` and for ``m > n*k``.
     """
-    if k < 0 or n < 0:
-        raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
+    _check_box(k, n)
     if m < 0 or m > n * k:
         return 0
     return _count_table(k, n)[m]
@@ -115,8 +119,7 @@ def count_partitions_in_box(k: int, n: int, m: int) -> int:
 
 def delta(k: int, n: int, m: int) -> int:
     """p(k,n,m) - p(k,n,m-1); may be negative past the middle weight n*k/2."""
-    if k < 0 or n < 0:
-        raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
+    _check_box(k, n)
     top = n * k
     if not 0 <= m <= top + 1:
         return 0
@@ -131,8 +134,7 @@ def _delta_row(k: int, n: int, stop: int) -> tuple[int, ...]:
     Past the box it gives what :func:`delta` gives: ``-p(k, n, n*k)`` at
     ``m = n*k + 1`` and 0 after.
     """
-    if k < 0 or n < 0:
-        raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
+    _check_box(k, n)
     # p(k, n, m) for m < stop, then the same run shifted up by one weight
     table = _count_table(k, n)[:stop]
     table += (0,) * (stop - len(table))
@@ -156,8 +158,7 @@ def _stratum_keys(k: int, n: int, m: int) -> list[int]:
     the layout of :class:`~semiinv.monomials.SIPoly` at degree ``k``, so
     ascending keys are the basis order.
     """
-    if k < 0 or n < 0:
-        raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
+    _check_box(k, n)
     if not 0 <= m <= n * k:
         raise ValueError(f"weight {m} outside [0, {n * k}]")
     w = _width(k)

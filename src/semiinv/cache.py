@@ -8,10 +8,10 @@ file's bytes must be the canonical serialization of what they decode to;
 in the (k, m) stratum and annihilated by the lowering operator); for
 ``2m <= nk`` the count must be ``delta(k, n, m)``; and the basis must have
 the computed one's normal form: primitive vectors whose trailing (anti-lex
-least) monomials strictly increase in file order, each vector zero at every
-other vector's trailing monomial.  Together these force a loaded basis to
-equal the one :func:`~semiinv.cayley.kernel_basis` computes.  Anything
-corrupt is recomputed and rewritten rather than trusted.
+least) monomials, read as their greatest packed keys, strictly increase in
+file order, each vector zero at the others' trailing monomials.  These
+force a loaded basis to equal the one :func:`~semiinv.cayley.kernel_basis`
+computes.  Anything corrupt is recomputed and rewritten, not trusted.
 
 The memory holds bases only.  Its budget is a fixed number of stored basis
 terms; an insert that pushes it past the budget clears the memo down to
@@ -122,14 +122,14 @@ def _load_valid(path: Path, n: int, k: int, m: int) -> KernelBasis | None:
     # zero at the other free columns, and each is primitive.  Any kernel
     # vector's trailing monomial is a free column, so with the delta count
     # these checks force the loaded basis to equal the computed one.  The
-    # least monomial has the greatest reversed exponent vector.
-    keys = [max(nu[::-1] for nu, _ in v.items()) for v in kb.vectors]
+    # verified vectors share degree bound k, so the trailing key is the max.
+    keys = [max(v._terms) for v in kb.vectors]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         return None
     for i, v in enumerate(kb.vectors):
         if v != v.primitive():
             return None
-        if any(v.coefficient(t[::-1]) for j, t in enumerate(keys) if j != i):
+        if any(t in v._terms for j, t in enumerate(keys) if j != i):
             return None
     return kb
 

@@ -33,9 +33,9 @@ the columns before it, which row operations preserve, and the kernel
 vector with 1 at free column ``f`` and 0 at the other free columns is
 unique.  Back substitution runs on plain integers with an implied common
 denominator, rescaling the entries found so far only when a pivot's
-reduced entry is not 1; each vector is then divided by its content,
-signed so that its leading coefficient is positive, and keyed by the
-column keys.  Bases are therefore reproducible bit-for-bit across runs.
+reduced entry is not 1; each vector is then keyed by the column keys
+and scaled by :meth:`~semiinv.monomials.SIPoly.primitive` (coprime, with
+a positive leading coefficient), so bases are reproducible bit-for-bit.
 
 For weights up to half the maximum, the computed nullity must equal the
 partition-count difference ``delta(k, n, m)``; every kernel computation
@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
-from operator import mul
 from typing import Sequence
 
 from .boxpartitions import _stratum_keys, delta
@@ -247,13 +246,13 @@ class KernelBasis:
     def verify(self) -> bool:
         """Re-check that every vector is a nonzero polynomial in ``a_0..a_n``
         of degree ``k`` and weight ``m`` in every term, annihilated by D."""
-        k, m, weights = self.k, self.m, range(self.n + 1)
-        return all(
-            v.n == self.n and not v.is_zero()
-            and all(sum(nu) == k and sum(map(mul, weights, nu)) == m for nu, _ in v.items())
-            and apply_D(v).is_zero()
-            for v in self.vectors
-        )
+        try:
+            return all(
+                v.n == self.n and v.bidegree() == (self.k, self.m) and apply_D(v).is_zero()
+                for v in self.vectors
+            )
+        except ValueError:  # bidegree of a zero vector or of a mixed one
+            return False
 
     def _json_header(self) -> dict:
         """The fields that precede ``"vectors"``, in file order."""
@@ -303,13 +302,8 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     vectors = []
     for f in free_cols:
         x = _back_substitute(pivots, f)
-        g = gcd(*x.values())
-        # column 0 is the anti-lex greatest monomial, so the least column
-        # holds the leading coefficient
-        if x[min(x)] < 0:
-            g = -g
-        terms = {keys[c]: x[c] // g for c in sorted(x)}
-        vectors.append(SIPoly._from_keys(n, k, terms))
+        terms = {keys[c]: x[c] for c in sorted(x)}
+        vectors.append(SIPoly._from_keys(n, k, terms).primitive())
     kb = KernelBasis(n, k, m, tuple(vectors))
     if 2 * m <= n * k:
         expected = delta(k, n, m)

@@ -5,10 +5,10 @@ only its own flags, given after its name (``semiinv verify F --nmax 8``),
 and ``semiinv verify F --help`` lists them.
 
 Exit codes: 0 success, 2 usage or domain error (a flag the suite or family
-does not read, or one given before the suite name, included), 3 failed
-verification, dimension mismatch or inexact internal division, 4 I/O
-failure.  Progress and diagnostics go to stderr; data goes to stdout or
-to files.
+does not read, or one given before the suite name, and running out of
+memory included), 3 failed verification, dimension mismatch or inexact
+internal division, 4 I/O failure.  Progress and diagnostics go to stderr;
+data goes to stdout or to files.
 """
 
 from __future__ import annotations
@@ -260,6 +260,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         _info(f"error: {exc}")
+        return 2
+    except MemoryError:
+        # a problem too large to hold, e.g. n + 1 exponents per basis term
+        _info("error: out of memory")
         return 2
     except (VerificationError, SylvesterMismatchError, ArithmeticError) as exc:
         # ArithmeticError: an inexact division in the gauss product chain

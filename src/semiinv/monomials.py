@@ -22,8 +22,10 @@ coefficients, as every semi-invariant the library builds is integral;
 only :meth:`SIPoly.evaluate`, at a rational point, leaves the integers.
 Each exponent vector is stored as one packed int key, ``nu_i`` in bits
 ``[w*i, w*(i+1))`` and so ``nu_n`` in the most significant slot.  These
-keys are the one implementation of the order: ascending key order is
-descending monomial order, the leading monomial has the least key, and a
+keys are the one implementation of the order, and no other module orders
+exponent tuples: ascending key order is descending monomial order, the
+leading monomial has the least key and the trailing one the greatest
+(keys of two polynomials compare at one width, see ``_rekey``), and a
 product's key is the sum of its factors' keys.  The slot width ``w`` is
 the bit length of a bound on the total degree of the terms, so no
 exponent reaches the next slot: a product's width comes from the sum of
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -168,6 +171,10 @@ class SIPoly:
         """Terms keyed at slot width ``w`` (at least this polynomial's)."""
         return _repack(self._terms, self.n, _width(self._deg), w)
 
+    def _rekey(self, deg: int) -> "SIPoly":
+        """The same polynomial with degree bound ``deg`` (at least this one's)."""
+        return self._wrap(self._at(_width(deg)), deg)
+
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         terms = self._terms
         return zip(_unpack(terms, self.n, _width(self._deg)), terms.values())
@@ -282,14 +289,11 @@ class SIPoly:
         """(degree, weight) of a homogeneous polynomial; error if mixed."""
         if not self._terms:
             raise ValueError("zero polynomial has no bidegree")
-        it = (nu for nu, _ in self.items())
-        nu0 = next(it)
-        k = sum(nu0)
-        m = sum(i * v for i, v in enumerate(nu0))
-        for nu in it:
-            if sum(nu) != k or sum(i * v for i, v in enumerate(nu)) != m:
-                raise ValueError("polynomial is not homogeneous in degree and weight")
-        return k, m
+        weights = range(self.n + 1)
+        found = {(sum(nu), sum(map(mul, weights, nu))) for nu, _ in self.items()}
+        if len(found) > 1:
+            raise ValueError("polynomial is not homogeneous in degree and weight")
+        return found.pop()
 
     def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
         """Exact evaluation at a rational point ``(a_0, ..., a_n)``."""

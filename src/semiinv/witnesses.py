@@ -52,59 +52,53 @@ class DependenceError(ValueError):
 
 def _common_n(vs: Sequence[SIPoly]) -> None:
     for v in vs[1:]:
-        if v.n != vs[0].n:
-            raise ValueError(f"mixed form degrees: n={vs[0].n} vs n={v.n}")
-
-
-def _reduce(vs: Sequence[SIPoly]) -> list[SIPoly]:
-    """Leading-term elimination.  Returns the triangulated list, and raises
-    :class:`DependenceError` if a vector reduces to zero.
-
-    Vectors are kept primitive, and each elimination step cross-multiplies
-    by the two leading coefficients over their gcd, so every vector stays
-    integral and a nonzero multiple of the one a rational elimination would
-    give; the primitive results are therefore the same.
-    """
-    _common_n(vs)
-    pivots: dict[tuple[int, ...], SIPoly] = {}
-    for idx, v in enumerate(vs):
-        w = v.primitive()
-        while True:
-            if w.is_zero():
-                raise DependenceError(idx)
-            lead = w.leading_nu()
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = w
-                break
-            a, b = piv.leading_coefficient(), w.leading_coefficient()
-            g = gcd(a, b)
-            w = (w.scale(a // g) - piv.scale(b // g)).primitive()
-    ordered = sorted(pivots, key=lambda nu: nu[::-1])
-    return [pivots[nu] for nu in ordered]
+        vs[0]._check_same_n(v)
 
 
 def triangulate(vs: Sequence[SIPoly]) -> list[SIPoly]:
     """Same span, strictly decreasing leading terms, canonical scaling.
 
     Input vectors must be linearly independent; a dependent family raises
-    :class:`DependenceError` naming the offending index.
+    :class:`DependenceError` naming the offending index.  Leads are least
+    packed keys, all at the width of the family's largest degree bound.
+    Each step cross-multiplies by the two leads' coefficients over their
+    gcd and keeps the vector primitive, so it stays integral and a multiple
+    of what a rational elimination gives: the primitive results agree.
     """
-    return _reduce(vs)
+    _common_n(vs)
+    deg = max((v._deg for v in vs), default=0)
+    pivots: dict[int, SIPoly] = {}
+    for idx, v in enumerate(vs):
+        w = v._rekey(deg).primitive()
+        while True:
+            terms = w._terms
+            if not terms:
+                raise DependenceError(idx)
+            lead = min(terms)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = w
+                break
+            a, b = piv._terms[lead], terms[lead]
+            g = gcd(a, b)
+            w = (w.scale(a // g) - piv.scale(b // g)).primitive()
+    return [pivots[lead] for lead in sorted(pivots)]
 
 
 def independence_check(vs: Sequence[SIPoly]) -> bool:
     """Exact linear independence over the union of occurring monomials."""
     try:
-        _reduce(vs)
+        triangulate(vs)
     except DependenceError:
         return False
     return True
 
 
 def _is_triangulated(vs: Sequence[SIPoly]) -> bool:
-    leads = [v.leading_nu()[::-1] for v in vs]
-    return all(a < b for a, b in zip(leads, leads[1:]))
+    deg = max(v._deg for v in vs)
+    # a zero vector has no lead, so no family holding one is triangulated
+    leads = [min(v._rekey(deg)._terms, default=None) for v in vs]
+    return None not in leads and all(a < b for a, b in zip(leads, leads[1:]))
 
 
 def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:

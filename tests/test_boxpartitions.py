@@ -49,8 +49,10 @@ class TestCount:
         assert count_partitions_in_box(2, 1100, 10) == 6
 
     def test_negative_box_rejected(self):
-        # the count, delta and the walk each check the box, with one message
-        for fn in (count_partitions_in_box, delta, enumerate_partitions_in_box):
+        # the count, delta, the delta row and the walk each check the box,
+        # with one message
+        for fn in (count_partitions_in_box, delta, boxpartitions._delta_row,
+                   enumerate_partitions_in_box):
             for k, n in ((-1, 3), (3, -1)):
                 message = f"box dimensions must be nonnegative, got ({k},{n})"
                 with pytest.raises(ValueError, match=re.escape(message)):

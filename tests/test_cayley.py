@@ -179,6 +179,10 @@ class TestKernel:
         assert not KernelBasis(4, 4, 6, vectors).verify()
         assert not KernelBasis(4, 5, 4, vectors).verify()
         assert not KernelBasis(5, 4, 4, vectors).verify()
+        # a zero vector, and D-killed vectors mixing weights or degrees
+        a0 = SIPoly.variable(4, 0)
+        for bad in (SIPoly.zero(4), vectors[0] + a0**4, vectors[0] + a0**3):
+            assert not KernelBasis(4, 4, 4, (bad,)).verify()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

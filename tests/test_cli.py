@@ -191,6 +191,18 @@ class TestBasisCommand:
         )
         assert code == 2
 
+    def test_out_of_memory_is_an_error_line(self, tmp_path):
+        # one kernel vector, but each exponent vector of its JSON has n + 1
+        # entries, more than the 256 MiB cap holds
+        cachedir = tmp_path / "cache"
+        proc = run_capped("-m", "semiinv.cli", "basis", str(10**8), "2", "2",
+                          "--cache-dir", str(cachedir))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not cachedir.exists() or list(cachedir.iterdir()) == []
+
 
 def _with_vectors(obj, change):
     """``obj`` with its two vectors replaced by ``change(v1, v2)``."""

@@ -115,6 +115,15 @@ class TestMonomial:
         for nu in enumerate_partitions_in_box(3, 4, 5):
             assert SIPoly.term(4, nu).bidegree() == (3, 5)
 
+    def test_bidegree_of_zero_or_mixed_raises(self):
+        a0, a1 = SIPoly.variable(2, 0), SIPoly.variable(2, 1)
+        with pytest.raises(ValueError, match="no bidegree"):
+            SIPoly.zero(2).bidegree()
+        # mixed degree, mixed weight
+        for p in (a0 + a0 * a0, a0 * a0 + a1 * a1):
+            with pytest.raises(ValueError, match="not homogeneous"):
+                p.bidegree()
+
     def test_validation(self):
         # wrong length, negative, and a float or bool that passes a sign check
         for nu in [(), (1, -1), (0.0, 2), (True, 1)]:

@@ -18,7 +18,7 @@ from semiinv.witnesses import (
     triangulate,
 )
 
-from helpers import I1_TERMS, I2_TERMS, antilex_greater, dense_rank
+from helpers import I1_TERMS, I2_TERMS, antilex_greater, dense_rank, run_capped
 
 
 class TestTriangulate:
@@ -306,8 +306,8 @@ class TestLemmaCombine:
 
     def test_untriangulated_input_rejected(self):
         i1, i2 = SIPoly(4, I1_TERMS), SIPoly(4, I2_TERMS)
-        # equal leads, then increasing ones (i2's lead is below i1's)
-        for b1, b2 in [([i1, i1], [i1]), ([i1], [i2, i1])]:
+        # equal leads, increasing ones (i2's lead is below i1's), no lead
+        for b1, b2 in [([i1, i1], [i1]), ([i1], [i2, i1]), ([SIPoly.zero(4)], [i1])]:
             with pytest.raises(ValueError, match="inputs must be triangulated"):
                 lemma_combine(b1, b2)
 
@@ -329,6 +329,34 @@ class TestLemmaCombine:
         for b1, b2 in [([x4, y5], [z4]), ([x4], [z4, y5])]:
             with pytest.raises(ValueError, match="mixed form degrees"):
                 lemma_combine(b1, b2)
+
+
+class TestMixedDegreeBounds:
+    # a_0^3 > a_1 anti-lexicographically, but each one's own keys read 3
+    # and 2 (a_0^2 and a_1 both read 2): leads must compare at one width
+    A0, A1 = SIPoly.variable(1, 0), SIPoly.variable(1, 1)
+
+    def test_triangulate_orders_across_widths(self):
+        tri = triangulate([self.A1, self.A0**3])
+        assert tri == [self.A0**3, self.A1]
+        assert antilex_greater(tri[0].leading_nu(), tri[1].leading_nu())
+
+    def test_triangulate_equal_own_width_keys(self):
+        # compared at their own widths the leads would tie forever
+        code = ("from semiinv.monomials import SIPoly; "
+                "from semiinv.witnesses import triangulate; "
+                "a0, a1 = SIPoly.variable(1, 0), SIPoly.variable(1, 1); "
+                "print(*triangulate([a1, a0**2]))")
+        proc = run_capped("-c", code, timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, "a0^2 a1\n"), proc.stderr
+
+    def test_lemma_combine_accepts_decreasing_leads(self):
+        out = lemma_combine([self.A0**3, self.A1], [self.A0])
+        assert out == [self.A0**4, self.A1 * self.A0]
+
+    def test_lemma_combine_rejects_increasing_leads(self):
+        with pytest.raises(ValueError, match="inputs must be triangulated"):
+            lemma_combine([self.A1, self.A0**3], [self.A0])
 
 
 class TestRingClosure:
