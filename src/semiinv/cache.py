@@ -3,15 +3,12 @@
 Disk files are named ``kernel_n{n}_k{k}_m{m}.json`` and written atomically
 (temp file in the target directory, then rename), so concurrent scans never
 observe a partial file.  A loaded basis is re-validated before reuse: the
-file's bytes must be the canonical serialization of what they decode to;
-:meth:`~semiinv.cayley.KernelBasis.verify` must pass (every vector nonzero,
-in the (k, m) stratum and annihilated by the lowering operator); for
-``2m <= nk`` the count must be ``delta(k, n, m)``; and the basis must have
-the computed one's normal form: primitive vectors whose trailing (anti-lex
-least) monomials, read as their greatest packed keys, strictly increase in
-file order, each vector zero at the others' trailing monomials.  These
-force a loaded basis to equal the one :func:`~semiinv.cayley.kernel_basis`
-computes.  Anything corrupt is recomputed and rewritten, not trusted.
+file's bytes must be the canonical serialization of what they decode to,
+and the basis must pass :func:`~semiinv.cayley._in_kernel` (through
+:meth:`~semiinv.cayley.KernelBasis.verify`) and then
+:func:`~semiinv.cayley._canonical`, which force it to equal the one
+:func:`~semiinv.cayley.kernel_basis` computes.  Anything corrupt is
+recomputed and rewritten, not trusted.
 
 The memory holds bases only.  Its budget is a fixed number of stored basis
 terms; an insert that pushes it past the budget clears the memo down to
@@ -35,8 +32,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .boxpartitions import delta
-from .cayley import KernelBasis, kernel_basis
+from .cayley import KernelBasis, _canonical, kernel_basis
 
 ENV_VAR = "SEMIINV_CACHE"
 
@@ -106,32 +102,10 @@ def _load_valid(path: Path, n: int, k: int, m: int) -> KernelBasis | None:
     # RecursionError: json.loads of arrays or objects nested too deep
     except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return None
-    if (kb.n, kb.k, kb.m) != (n, k, m):
-        return None
     # only the bytes this module writes are trusted: no other spacing, key
     # order or spelling of a number
-    if data != kernel_json_bytes(kb):
-        return None
-    if not kb.verify():
-        return None
-    # a truncated file keeps the verified vectors; the count must be delta's
-    if 2 * m <= n * k and kb.dim != delta(k, n, m):
-        return None
-    # In a computed basis each vector's trailing (anti-lex least) monomial
-    # is its free column, the vectors come in free-column order, each is
-    # zero at the other free columns, and each is primitive.  Any kernel
-    # vector's trailing monomial is a free column, so with the delta count
-    # these checks force the loaded basis to equal the computed one.  The
-    # verified vectors share degree bound k, so the trailing key is the max.
-    keys = [max(v._terms) for v in kb.vectors]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
-        return None
-    for i, v in enumerate(kb.vectors):
-        if v != v.primitive():
-            return None
-        if any(t in v._terms for j, t in enumerate(keys) if j != i):
-            return None
-    return kb
+    ok = (kb.n, kb.k, kb.m) == (n, k, m) and data == kernel_json_bytes(kb)
+    return kb if ok and kb.verify() and _canonical(n, k, m, kb.vectors) else None
 
 
 def kernel_basis_cached(

@@ -41,6 +41,10 @@ For weights up to half the maximum, the computed nullity must equal the
 partition-count difference ``delta(k, n, m)``; every kernel computation
 asserts this, so a mismatch signals an implementation bug rather than a
 mathematical possibility.
+
+Three checks certify a family of semi-invariants from :func:`apply_D`,
+``delta`` and packed keys alone, with no elimination: :func:`_in_kernel`,
+:func:`_distinct_leads` and :func:`_canonical`.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ def apply_D(p: SIPoly) -> SIPoly:
     # D keeps the degree, so the image has the keys' slot width
     w = _width(p._deg)
     mask = (1 << w) - 1
-    steps = _lowering_steps(p.n, w)
+    # only slots up to the highest occupied one, which the greatest key holds
+    top = (max(p._terms, default=0).bit_length() - 1) // w  # -1 for zero p
+    steps = _lowering_steps(min(p.n, top), w)
     out: dict[int, int] = {}
     get = out.get
     for key, c in p._terms.items():
@@ -82,6 +88,40 @@ def apply_D(p: SIPoly) -> SIPoly:
                 mu = key + step
                 out[mu] = get(mu, 0) + c * i * e
     return p._wrap(_nonzero(out))
+
+
+def _in_kernel(n: int, k: int, m: int, vs: Sequence[SIPoly]) -> bool:
+    """Every vector is a nonzero polynomial in ``a_0..a_n`` of degree ``k``
+    and weight ``m`` in every term, annihilated by D."""
+    try:
+        return all(
+            v.n == n and v.bidegree() == (k, m) and apply_D(v).is_zero() for v in vs
+        )
+    except ValueError:  # bidegree of a zero vector or of a mixed one
+        return False
+
+
+def _distinct_leads(vs: Sequence[SIPoly]) -> bool:
+    """The leads (least keys) strictly increase, read at the width of the
+    family's largest degree bound; a zero vector has no lead and fails."""
+    deg = max((v._deg for v in vs), default=0)
+    leads = [min(v._rekey(deg)._terms, default=None) for v in vs]
+    return None not in leads and all(a < b for a, b in zip(leads, leads[1:]))
+
+
+def _canonical(n: int, k: int, m: int, vs: Sequence[SIPoly]) -> bool:
+    """``vs`` is the basis :func:`kernel_basis` computes, given that it
+    passed :func:`_in_kernel` (so all keys have the width of ``k``): the
+    ``delta`` count for ``2m <= nk``, and primitive vectors whose trailing
+    (greatest) keys, the free columns, strictly increase, each zero at the
+    others'.  Every kernel vector trails at a free column, so this forces it."""
+    if 2 * m <= n * k and len(vs) != delta(k, n, m):
+        return False
+    keys = [max(v._terms) for v in vs]
+    return all(a < b for a, b in zip(keys, keys[1:])) and all(
+        v == v.primitive() and all(t not in v._terms for t in keys[:i] + keys[i + 1:])
+        for i, v in enumerate(vs)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,15 +284,8 @@ class KernelBasis:
         return len(self.vectors)
 
     def verify(self) -> bool:
-        """Re-check that every vector is a nonzero polynomial in ``a_0..a_n``
-        of degree ``k`` and weight ``m`` in every term, annihilated by D."""
-        try:
-            return all(
-                v.n == self.n and v.bidegree() == (self.k, self.m) and apply_D(v).is_zero()
-                for v in self.vectors
-            )
-        except ValueError:  # bidegree of a zero vector or of a mixed one
-            return False
+        """Whether the vectors pass :func:`_in_kernel` on this stratum."""
+        return _in_kernel(self.n, self.k, self.m, self.vectors)
 
     def _json_header(self) -> dict:
         """The fields that precede ``"vectors"``, in file order."""

@@ -5,10 +5,10 @@ decreasing leading terms under the anti-lexicographic order (same span).
 Every witness here is built from two steps: the kernel triangle of one
 stratum (its triangulated kernel basis, which must hold as many vectors as
 the dimension bound promises) and :func:`lemma_combine`, the staircase
-products of two triangulated families, whose leading terms stay pairwise
-distinct because the order is multiplicative.  A triangle is computed
-once per basis object and memoized under a weak reference to it, so the
-cache's eviction drops it, and a basis loaded again is a new object.
+products of two families that pass :func:`~semiinv.cayley._distinct_leads`,
+whose leads stay distinct as the order is multiplicative.  A triangle is
+computed once per basis object and memoized under a weak reference to it,
+so the cache's eviction drops it, and a basis loaded again is a new object.
 
 * :func:`nr8_witnesses` produces two independent semi-invariants of degree
   ``r`` and weight ``n*r/2`` for any ``n, r >= 8`` with ``n*r`` even: the
@@ -34,7 +34,7 @@ from weakref import WeakKeyDictionary
 
 from .boxpartitions import delta
 from .cache import kernel_basis_cached
-from .cayley import KernelBasis
+from .cayley import KernelBasis, _distinct_leads
 from .monomials import SIPoly
 
 # KernelBasis -> its triangulated vectors; an entry lives as long as its
@@ -94,13 +94,6 @@ def independence_check(vs: Sequence[SIPoly]) -> bool:
     return True
 
 
-def _is_triangulated(vs: Sequence[SIPoly]) -> bool:
-    deg = max(v._deg for v in vs)
-    # a zero vector has no lead, so no family holding one is triangulated
-    leads = [min(v._rekey(deg)._terms, default=None) for v in vs]
-    return None not in leads and all(a < b for a, b in zip(leads, leads[1:]))
-
-
 def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
     """Staircase products of two triangulated bases.
 
@@ -113,7 +106,7 @@ def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
     if not b1 or not b2:
         raise ValueError("both bases must be nonempty")
     _common_n(list(b1) + list(b2))
-    if not _is_triangulated(b1) or not _is_triangulated(b2):
+    if not _distinct_leads(b1) or not _distinct_leads(b2):
         raise ValueError("inputs must be triangulated (strictly decreasing leads)")
     out = [(b1[0] * w).primitive() for w in b2]
     out.extend((v * b2[-1]).primitive() for v in b1[1:])

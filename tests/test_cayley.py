@@ -17,7 +17,10 @@ from semiinv.cayley import (
     KernelBasis,
     SparseIntMatrix,
     _back_substitute,
+    _canonical,
+    _distinct_leads,
     _echelon,
+    _in_kernel,
     apply_D,
     build_D_matrix,
     kernel_basis,
@@ -26,8 +29,9 @@ from semiinv.cayley import (
     shear_coefficients,
 )
 from semiinv.monomials import SIPoly, _unpack, _width
+from semiinv.witnesses import triangulate
 
-from helpers import I1_TERMS, I2_TERMS, dense_kernel, dense_rank
+from helpers import I1_TERMS, I2_TERMS, dense_kernel, dense_rank, run_capped
 
 # classical explicit semi-invariants
 J_QUAD = SIPoly(2, {(1, 0, 1): 1, (0, 2, 0): -1})  # a0 a2 - a1^2 (discriminant)
@@ -70,6 +74,17 @@ class TestApplyD:
             image = apply_D(p)
             if not image.is_zero():
                 assert image.bidegree() == (k, m - 1)
+
+
+    def test_steps_stop_at_the_highest_occupied_slot(self):
+        # a form of degree 10**5: lowering steps for every slot would hold
+        # about 1.2 GB of ints, far past the 256 MiB cap
+        code = ("from semiinv.cayley import apply_D; "
+                "from semiinv.monomials import SIPoly; "
+                "a = lambda i: SIPoly.variable(10**5, i); "
+                "print(apply_D(a(0)).is_zero(), apply_D(a(3)) == a(2).scale(3))")
+        proc = run_capped("-c", code, timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, "True True\n"), proc.stderr
 
 
 class TestMatrix:
@@ -189,6 +204,55 @@ class TestKernel:
             kernel_basis(3, 3, -1)
         with pytest.raises(ValueError):
             kernel_basis(3, 3, 10)
+
+
+# (n, k, m, delta) for every stratum with n, k <= 6 and m <= nk/2
+STRATA = [
+    (n, k, m, delta(k, n, m)) for n in range(7) for k in range(7) for m in range(n * k // 2 + 1)
+]
+TAMPERS = ["scaled", "swapped", "dropped", "stray-monomial", "other-stratum"]
+
+
+class TestCertify:
+    """The elimination-free checks on computed bases and on tampered ones."""
+
+    def test_computed_bases_pass(self):
+        for n, k, m, _ in STRATA:
+            vs = kernel_basis(n, k, m).vectors
+            assert _in_kernel(n, k, m, vs) and _canonical(n, k, m, vs), (n, k, m)
+            assert _distinct_leads(triangulate(vs)), (n, k, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tamper_rejected_by_its_check(self, data):
+        tamper = data.draw(st.sampled_from(TAMPERS))
+        need = 2 if tamper == "swapped" else 1
+        n, k, m, _ = data.draw(st.sampled_from([
+            s for s in STRATA if s[3] >= need and (tamper != "stray-monomial" or s[2])
+        ]))
+        vs = list(kernel_basis(n, k, m).vectors)
+        i = data.draw(st.integers(0, len(vs) - 1))
+        if tamper == "scaled":
+            vs[i] = vs[i].scale(2)
+        elif tamper == "swapped":
+            j = data.draw(st.integers(0, len(vs) - 1).filter(lambda j: j != i))
+            vs[i], vs[j] = vs[j], vs[i]
+        elif tamper == "dropped":
+            del vs[i]
+        elif tamper == "stray-monomial":
+            # D kills the vector but no monomial of positive weight
+            nu = data.draw(st.sampled_from(enumerate_partitions_in_box(k, n, m)))
+            vs[i] = vs[i] + SIPoly.term(n, nu, data.draw(st.integers(1, 3)))
+        else:
+            _, k2, m2, _ = data.draw(st.sampled_from([
+                s for s in STRATA if s[0] == n and s[3] and s[1:3] != (k, m)
+            ]))
+            vs[i] = kernel_basis(n, k2, m2).vectors[0]
+        if tamper in ("stray-monomial", "other-stratum"):
+            assert not _in_kernel(n, k, m, vs)
+        else:
+            assert _in_kernel(n, k, m, vs)
+            assert not _canonical(n, k, m, vs)
 
 
 def _primitive_int_vector(x):

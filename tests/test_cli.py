@@ -203,6 +203,15 @@ class TestBasisCommand:
         assert "Traceback" not in proc.stderr
         assert not cachedir.exists() or list(cachedir.iterdir()) == []
 
+    def test_large_form_degree_warm_cache(self, tmp_path):
+        # the warm run verifies the loaded a_0 of a form of degree 10**5, which
+        # must stay as cheap as the cold run under the 256 MiB cap
+        argv = ("-m", "semiinv.cli", "basis", str(10**5), "1", "0",
+                "--cache-dir", str(tmp_path))
+        cold, warm = run_capped(*argv), run_capped(*argv)
+        assert (cold.returncode, warm.returncode) == (0, 0), warm.stderr
+        assert cold.stdout == warm.stdout != ""
+
 
 def _with_vectors(obj, change):
     """``obj`` with its two vectors replaced by ``change(v1, v2)``."""

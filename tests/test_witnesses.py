@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from semiinv import cache, witnesses
+from semiinv import cache, cayley, witnesses
 from semiinv.boxpartitions import delta
 from semiinv.cache import canonical_json_bytes, kernel_basis_cached
 from semiinv.cayley import KernelBasis, apply_D, kernel_basis
@@ -357,6 +357,27 @@ class TestMixedDegreeBounds:
     def test_lemma_combine_rejects_increasing_leads(self):
         with pytest.raises(ValueError, match="inputs must be triangulated"):
             lemma_combine([self.A1, self.A0**3], [self.A0])
+
+
+class TestCertifyWithoutElimination:
+    def test_warm_load_and_lemma_combine(self, monkeypatch, tmp_path):
+        cache.clear_memory_cache()
+        try:
+            kb = kernel_basis_cached(4, 4, 6, tmp_path)
+            tri = triangulate(kb.vectors)
+            cache.clear_memory_cache()
+
+            def eliminate(*args, **kwargs):
+                raise AssertionError("certification eliminated")
+
+            monkeypatch.setattr(cayley, "build_D_matrix", eliminate)
+            monkeypatch.setattr(cayley, "_echelon", eliminate)
+            monkeypatch.setattr(witnesses, "triangulate", eliminate)
+            # a rejected file would be recomputed, through build_D_matrix
+            assert kernel_basis_cached(4, 4, 6, tmp_path).vectors == kb.vectors
+            assert len(lemma_combine(tri, tri)) == 3
+        finally:
+            cache.clear_memory_cache()
 
 
 class TestRingClosure:
