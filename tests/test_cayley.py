@@ -75,10 +75,9 @@ class TestApplyD:
             if not image.is_zero():
                 assert image.bidegree() == (k, m - 1)
 
-
     def test_steps_stop_at_the_highest_occupied_slot(self):
         # a form of degree 10**5: lowering steps for every slot would hold
-        # about 1.2 GB of ints, far past the 256 MiB cap
+        # about 0.6 GB of ints, far past the 256 MiB cap
         code = ("from semiinv.cayley import apply_D; "
                 "from semiinv.monomials import SIPoly; "
                 "a = lambda i: SIPoly.variable(10**5, i); "
