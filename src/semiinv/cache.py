@@ -79,18 +79,23 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temp file and a rename.
 
     The directory must exist.  On any failure ``path`` keeps its old
-    content and the temp file is removed.
+    content and the temp file is removed; an ``OSError`` that carries an
+    errno names ``path``, never the temp file.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -12,10 +12,16 @@ the underlying form, checked directly by :func:`shear_check`) exactly when
 ``D`` annihilates it, so semi-invariant bases are nullspaces of the sparse
 integer matrices built here.
 
-The matrix is built on packed keys: the columns and rows are the strata of
-weights ``m`` and ``m-1`` walked as keys in the ``SIPoly`` layout at degree
-``k`` (see :mod:`semiinv.boxpartitions`), and the image of a column key
-lies at ``key + step_i``, the same rule :func:`apply_D` uses.
+The matrix is built in the divided-power basis ``a^nu / s(nu)`` with
+``s(nu) = prod_{i=1..n} (i!)^nu_i nu_i!`` (slot 0 left out), where ``D``
+sends ``a_i / i!`` to ``a_{i-1} / (i-1)!``: its entries are 1 and
+``nu_{i-1} + 1`` in place of ``i*nu_i``, so more pivots are 1 and fewer
+rows need rescaling.  These are positive diagonal row and column scalings
+of the monomial matrix, so the rank and the free columns are the same.
+One walk of the weight-``m`` stratum, as keys in the ``SIPoly`` layout at
+degree ``k`` (see :mod:`semiinv.boxpartitions`), gives the columns, and
+each column's image keys ``key + step_i`` (the rule :func:`apply_D` uses)
+key the rows, which are the weight-``m-1`` stratum.
 :func:`kernel_basis` and :func:`semiinvariant_dim` share one entry that
 checks the arguments, builds the matrix and eliminates; at weight 0 the
 matrix has no rows, so the single monomial ``a_0^k`` is the kernel.
@@ -23,7 +29,7 @@ matrix has no rows, so the single monomial ``a_0^k`` is the kernel.
 The nullspace computation is exact and fraction-free.  Columns are taken
 in the fixed anti-lexicographic order; at each column the pivot is the row,
 among those still nonzero there, with the smallest ``(|entry|, row length,
-row index)``, which keeps fill-in and entry size down (a Markowitz-style
+row key)``, which keeps fill-in and entry size down (a Markowitz-style
 choice), and its sign is flipped so that its entry is positive.  The other
 rows are eliminated in place over the integers by cross-multiplication;
 a row is divided by the gcd of its entries only when it was multiplied by
@@ -33,9 +39,11 @@ the columns before it, which row operations preserve, and the kernel
 vector with 1 at free column ``f`` and 0 at the other free columns is
 unique.  Back substitution runs on plain integers with an implied common
 denominator, rescaling the entries found so far only when a pivot's
-reduced entry is not 1; each vector is then keyed by the column keys
-and scaled by :meth:`~semiinv.monomials.SIPoly.primitive` (coprime, with
-a positive leading coefficient), so bases are reproducible bit-for-bit.
+reduced entry is not 1.  Each vector ``y`` is mapped back to monomials as
+``y_c * (L // s_c)``, with ``L`` the lcm of the ``s_c`` over its support,
+keyed by the column keys and scaled by
+:meth:`~semiinv.monomials.SIPoly.primitive` (coprime, with a positive
+leading coefficient), so bases are reproducible bit-for-bit.
 
 For weights up to half the maximum, the computed nullity must equal the
 partition-count difference ``delta(k, n, m)``; every kernel computation
@@ -51,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .boxpartitions import _stratum_keys, delta
@@ -126,47 +134,71 @@ def _canonical(n: int, k: int, m: int, vs: Sequence[SIPoly]) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SparseIntMatrix:
-    """Column-major sparse integer matrix.
+    """Sparse integer matrix, stored both by column and by row.
 
-    ``cols[j]`` maps row index to the nonzero entry in column ``j``.  Rows
-    index the target stratum basis (weight ``m-1``), columns the source
-    basis (weight ``m``), both in descending anti-lexicographic order;
-    ``col_keys`` holds the source basis as packed keys in the
-    :class:`~semiinv.monomials.SIPoly` layout at degree ``k``.
+    Columns are indexed ``0..ncols-1`` and rows by their packed row keys.
+    ``cols[j]`` is the tuple of row keys where column ``j`` is nonzero, and
+    ``rows`` maps each row key to ``{column index: entry}`` over its nonzero
+    entries, so ``nrows == len(rows)``.  For :func:`build_D_matrix` the
+    columns are the source basis (weight ``m``) in ascending key order,
+    ``col_keys`` holds it as packed keys in the
+    :class:`~semiinv.monomials.SIPoly` layout at degree ``k``, and the row
+    keys are the target monomials of weight ``m-1`` in the same layout.
     """
 
-    nrows: int
-    ncols: int
-    cols: tuple[dict[int, int], ...]
+    cols: tuple[tuple[int, ...], ...]
+    rows: dict[int, dict[int, int]]
     col_keys: tuple[int, ...] = ()
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.cols)
 
 
 def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
-    """Matrix of the lowering operator from weight ``m`` to weight ``m-1``.
+    """Matrix of the lowering operator from weight ``m`` to weight ``m-1``
+    in the divided-power basis ``a^nu / s(nu)``.
 
-    Requires ``1 <= m <= n*k``.  Column ``j`` holds the coordinates of the
-    image of the j-th basis monomial; each column has at most ``n`` nonzero
-    entries.
+    Requires ``1 <= m <= n*k``.  ``s(nu) = prod_{i=1..n} (i!)^nu_i nu_i!``
+    (slot 0 is left out), and in that basis ``D`` moves one unit from slot
+    ``i`` to slot ``i-1`` with entry 1 at ``i = 1`` and ``nu_{i-1} + 1``
+    above, in place of ``i*nu_i`` on monomials.  Column ``j`` is the j-th
+    key of the weight-``m`` stratum and has at most ``n`` nonzero entries;
+    its rows are keyed by the image keys ``key + step_i``, which reach
+    every monomial of weight ``m-1``.  One walk of the weight-``m`` stratum
+    builds both the columns and the rows.
     """
     if not 1 <= m <= n * k:
         raise ValueError(f"weight {m} outside [1, {n * k}]")
     col_keys = _stratum_keys(k, n, m)
-    row_index = {key: r for r, key in enumerate(_stratum_keys(k, n, m - 1))}
     w = _width(k)
     mask = (1 << w) - 1
     # a slot above the weight never holds an exponent
     steps = _lowering_steps(min(n, m), w)
+    rows: dict[int, dict[int, int]] = {}
+    get = rows.get
     cols = []
-    for key in col_keys:
-        col: dict[int, int] = {}
-        for i, shift, step in steps:
+    for j, key in enumerate(col_keys):
+        col = []
+        # nu_{i-1} + 1, with slot 0 counted as empty since s leaves it out
+        entry = 1
+        for _, shift, step in steps:
             e = key >> shift & mask
             if e:
-                col[row_index[key + step]] = i * e
-        cols.append(col)
-    return SparseIntMatrix(
-        len(row_index), len(col_keys), tuple(cols), tuple(col_keys)
-    )
+                r = key + step
+                row = get(r)
+                if row is None:
+                    rows[r] = {j: entry}
+                else:
+                    row[j] = entry
+                col.append(r)
+            entry = e + 1
+        cols.append(tuple(col))
+    return SparseIntMatrix(tuple(cols), rows, tuple(col_keys))
 
 
 def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], list[int]]:
@@ -174,16 +206,14 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
 
     Returns ``(pivots, free_cols)`` where ``pivots`` is a list of
     ``(pivot_column, row)`` in ascending pivot-column order.  Rows are
-    sparse dicts over column indices; each pivot row is zero before its
-    pivot column and positive at it.  Among the rows still nonzero at a
-    column, the pivot is the one with the smallest ``(|entry|, row length,
-    row index)``.  Entries stay integral throughout; a row is divided by
-    its content only after it was multiplied by a factor other than 1.
+    copies of ``mat.rows``, sparse dicts over column indices; each pivot
+    row is zero before its pivot column and positive at it.  Among the
+    rows still nonzero at a column, the pivot is the one with the smallest
+    ``(|entry|, row length, row key)``.  Entries stay integral throughout;
+    a row is divided by its content only after it was multiplied by a
+    factor other than 1.
     """
-    rows: list[dict[int, int]] = [{} for _ in range(mat.nrows)]
-    for c, col in enumerate(mat.cols):
-        for r, v in col.items():
-            rows[r][c] = v
+    rows = {r: dict(row) for r, row in mat.rows.items()}
     # column -> rows not yet used as pivots that are nonzero there
     incidence = [set(col) for col in mat.cols]
     pivots: list[tuple[int, dict[int, int]]] = []
@@ -192,13 +222,13 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
         if not cand:
             free_cols.append(c)
             continue
-        piv = -1
+        piv = None
         for r in cand:
             row = rows[r]
             e = row[c]
             if e < 0:
                 e = -e
-            if piv < 0 or e < best or (
+            if piv is None or e < best or (
                 e == best and (len(row) < size or (len(row) == size and r < piv))
             ):
                 piv, best, size = r, e, len(row)
@@ -319,8 +349,34 @@ def _eliminate(
     if m:
         mat = build_D_matrix(n, k, m)
     else:
-        mat = SparseIntMatrix(0, 1, ({},), tuple(_stratum_keys(k, n, 0)))
+        mat = SparseIntMatrix(((),), {}, tuple(_stratum_keys(k, n, 0)))
     return (mat, *_echelon(mat))
+
+
+def _divided_power_scales(n: int, k: int, m: int, keys: Sequence[int]) -> list[int]:
+    """``s(nu) = prod_{i=1..n} (i!)^nu_i nu_i!`` for each key of the (k, m)
+    stratum, the denominator of its divided-power basis vector.
+
+    Only slots ``1..min(n, m)`` can be occupied and no exponent there
+    exceeds ``min(k, m)``, so neither a huge form degree nor the huge
+    ``nu_0`` of a huge ``k`` reaches a factorial.
+    """
+    w = _width(k)
+    mask = (1 << w) - 1
+    top = min(n, m)
+    fact = [1]
+    for i in range(1, max(top, min(k, m)) + 1):
+        fact.append(fact[-1] * i)
+    slots = [(fact[i], w * i) for i in range(1, top + 1)]
+    out = []
+    for key in keys:
+        s = 1
+        for f, shift in slots:
+            e = key >> shift & mask
+            if e:
+                s *= f**e * fact[e]
+        out.append(s)
+    return out
 
 
 def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
@@ -332,10 +388,14 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     """
     mat, pivots, free_cols = _eliminate(n, k, m)
     keys = mat.col_keys
+    # a vector is zero past its free column
+    scales = _divided_power_scales(n, k, m, keys[: max(free_cols, default=-1) + 1])
     vectors = []
     for f in free_cols:
-        x = _back_substitute(pivots, f)
-        terms = {keys[c]: x[c] for c in sorted(x)}
+        # back to monomials: y_c b^(c) = y_c / s_c a^c, cleared by the lcm
+        y = _back_substitute(pivots, f)
+        lcm_s = lcm(*[scales[c] for c in y])
+        terms = {keys[c]: y[c] * (lcm_s // scales[c]) for c in sorted(y)}
         vectors.append(SIPoly._from_keys(n, k, terms).primitive())
     kb = KernelBasis(n, k, m, tuple(vectors))
     if 2 * m <= n * k:

@@ -1,17 +1,19 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiinv.boxpartitions import (
+    _stratum_keys,
     count_partitions_in_box,
     delta,
     enumerate_partitions_in_box,
 )
+from semiinv import cayley
 from semiinv.cache import canonical_json_bytes
 from semiinv.cayley import (
     KernelBasis,
@@ -41,6 +43,17 @@ J_QUART = SIPoly(4, {(0, 0, 2, 0, 0): 3, (0, 1, 0, 1, 0): -4, (1, 0, 0, 0, 1): 1
 
 def random_rational(rng, span=9):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
+
+
+def divided_power_scale(nu):
+    """``s(nu) = prod_{i>=1} (i!)^nu_i nu_i!``: ``a^nu / s(nu)`` is the
+    divided-power basis vector of the exponent vector ``nu``."""
+    return prod(factorial(i) ** e * factorial(e) for i, e in enumerate(nu) if i)
+
+
+def row_exponents(mat, n, k):
+    """``{row key: exponent vector}`` over the rows of ``mat``."""
+    return dict(zip(mat.rows, _unpack(mat.rows, n, _width(k))))
 
 
 class TestApplyD:
@@ -102,24 +115,62 @@ class TestMatrix:
             k = rng.randint(1, 5)
             m = rng.randint(1, n * k)
             mat = build_D_matrix(n, k, m)
-            for col in mat.cols:
+            mus = row_exponents(mat, n, k)
+            for j, nu in enumerate(enumerate_partitions_in_box(k, n, m)):
+                col = mat.cols[j]
                 assert len(col) <= n
-                abs_sum = sum(abs(v) for v in col.values())
-                assert abs_sum <= k * n
+                total = 0
+                for r in col:
+                    mu = mus[r]
+                    # the unit moved from slot i to slot i-1
+                    [i] = [i for i in range(1, n + 1) if mu[i] == nu[i] - 1]
+                    entry = mat.rows[r][j]
+                    assert entry == (1 if i == 1 else nu[i - 1] + 1)
+                    # rescaled to monomials it is the entry i*nu_i of D
+                    scaled = Fraction(entry * divided_power_scale(nu),
+                                      divided_power_scale(mu))
+                    assert scaled == i * nu[i]
+                    total += scaled
                 # the entries i*nu_i over a monomial sum to its weight
-                assert abs_sum == m
+                assert total == m
 
     def test_columns_match_operator(self):
         # past (4, 3, 5), m < n: the matrix stops at slot m, apply_D runs
         # over all n slots
         for n, k, m in [(4, 3, 5), (7, 3, 2), (9, 2, 4), (6, 4, 5), (12, 1, 1)]:
             mat = build_D_matrix(n, k, m)
-            col_basis = enumerate_partitions_in_box(k, n, m)
-            row_basis = enumerate_partitions_in_box(k, n, m - 1)
-            for j, nu in enumerate(col_basis):
+            mus = row_exponents(mat, n, k)
+            assert sum(map(len, mat.rows.values())) == sum(map(len, mat.cols))
+            for j, nu in enumerate(enumerate_partitions_in_box(k, n, m)):
                 image = apply_D(SIPoly.term(n, nu, 1))
-                expected = {row_basis.index(mu): int(c) for mu, c in image.items()}
-                assert mat.cols[j] == expected
+                expected = {mu: Fraction(c) for mu, c in image.items()}
+                rescaled = {
+                    mus[r]: Fraction(mat.rows[r][j] * divided_power_scale(nu),
+                                     divided_power_scale(mus[r]))
+                    for r in mat.cols[j]
+                }
+                assert rescaled == expected
+
+    def test_rows_are_the_lower_stratum(self):
+        for n in range(1, 7):
+            for k in range(1, 7):
+                for m in range(1, n * k + 1):
+                    mat = build_D_matrix(n, k, m)
+                    assert mat.nrows == count_partitions_in_box(k, n, m - 1), (n, k, m)
+                    assert sorted(mat.rows) == _stratum_keys(k, n, m - 1), (n, k, m)
+
+    def test_one_stratum_walk_per_matrix(self, monkeypatch):
+        calls = []
+
+        def counting(k, n, m):
+            calls.append((k, n, m))
+            return _stratum_keys(k, n, m)
+
+        monkeypatch.setattr(cayley, "_stratum_keys", counting)
+        for n, k, m in [(4, 4, 6), (1, 3, 2), (6, 2, 12), (8, 8, 32)]:
+            calls.clear()
+            build_D_matrix(n, k, m)
+            assert calls == [(k, n, m)]
 
     def test_bad_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -285,7 +336,9 @@ class TestEliminationOrder:
         k = data.draw(st.integers(1, 6), label="k")
         m = data.draw(st.integers(1, n * k), label="m")
         mat = build_D_matrix(n, k, m)
-        perm = data.draw(st.permutations(range(mat.nrows)), label="perm")
+        # relabelling the row keys changes which row wins a pivot tie
+        keys = sorted(mat.rows)
+        relabel = dict(zip(keys, data.draw(st.permutations(keys), label="perm")))
         # negative scales reach sign-flipped pivots, and scales other than
         # +-1 reach rows that are rescaled and then divided by their content
         scale = data.draw(
@@ -294,9 +347,11 @@ class TestEliminationOrder:
             label="scale",
         )
         shuffled = SparseIntMatrix(
-            mat.nrows,
-            mat.ncols,
-            tuple({perm[r]: scale[r] * v for r, v in col.items()} for col in mat.cols),
+            tuple(tuple(relabel[r] for r in col) for col in mat.cols),
+            {
+                relabel[r]: {c: a * v for c, v in mat.rows[r].items()}
+                for r, a in zip(keys, scale)
+            },
         )
         pivots, free = _echelon(mat)
         pivots2, free2 = _echelon(shuffled)
@@ -356,18 +411,10 @@ class TestDimension:
         for (n, k, m) in [(4, 4, 6), (5, 3, 7), (3, 5, 6), (6, 2, 5)]:
             mat = build_D_matrix(n, k, m)
             dim = semiinvariant_dim(n, k, m)
+            basis = enumerate_partitions_in_box(k, n, m)
             rows = [
-                SIPoly(
-                    n,
-                    {
-                        enumerate_partitions_in_box(k, n, m)[c]: v
-                        for c, v in enumerate(
-                            [col.get(r, 0) for col in mat.cols]
-                        )
-                        if v
-                    },
-                )
-                for r in range(mat.nrows)
+                SIPoly(n, {basis[c]: v for c, v in row.items() if v})
+                for row in mat.rows.values()
             ]
             rank = dense_rank([r for r in rows if not r.is_zero()])
             assert rank + dim == count_partitions_in_box(k, n, m)

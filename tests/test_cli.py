@@ -143,6 +143,14 @@ class TestBasisCommand:
         )
         assert code == 4
 
+    def test_unwritable_path_names_the_out_path(self, capsys, tmp_path):
+        out_path = tmp_path / "missing-dir" / "x.json"
+        code, out, err = run_cli(capsys, "basis", "2", "2", "2", "--out", str(out_path),
+                                 "--cache-dir", str(tmp_path / "cache"))
+        assert (code, out) == (4, "")
+        assert err == f"i/o error: [Errno 2] No such file or directory: '{out_path}'\n"
+        assert ".tmp" not in err
+
     def test_failed_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
         out_path = tmp_path / "basis.json"
         cachedir = str(tmp_path / "cache")
@@ -211,6 +219,15 @@ class TestBasisCommand:
         cold, warm = run_capped(*argv), run_capped(*argv)
         assert (cold.returncode, warm.returncode) == (0, 0), warm.stderr
         assert cold.stdout == warm.stdout != ""
+
+    @pytest.mark.parametrize("n, m, dim", [(2, 2, 1), (1, 1, 0)])
+    def test_huge_degree_scales_stay_small(self, tmp_path, n, m, dim):
+        # nu_0 is about 10**20 here: a kernel vector's divided-power scales
+        # must leave slot 0 out
+        proc = run_capped("-m", "semiinv.cli", "basis", str(n), str(10**20), str(m),
+                          "--cache-dir", str(tmp_path), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["dim"] == dim
 
 
 def _with_vectors(obj, change):
