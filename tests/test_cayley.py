@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiinv import cayley
 from semiinv.boxpartitions import (
     _stratum_keys,
     count_partitions_in_box,
     delta,
     enumerate_partitions_in_box,
 )
-from semiinv import cayley
 from semiinv.cache import canonical_json_bytes
 from semiinv.cayley import (
     KernelBasis,
