@@ -23,15 +23,15 @@ degree ``k`` (see :mod:`semiinv.boxpartitions`), gives the columns, and
 each column's image keys ``key + step_i`` (the rule :func:`apply_D` uses)
 key the rows, which are the weight-``m-1`` stratum.
 :func:`kernel_basis` and :func:`semiinvariant_dim` share one entry that
-checks the arguments, builds the matrix and eliminates; at weight 0 the
-matrix has no rows, so the single monomial ``a_0^k`` is the kernel.
+checks the arguments, builds the matrix and eliminates it; at weight 0 no
+matrix is built, since the single monomial ``a_0^k`` is the kernel.
 
 The nullspace computation is exact and fraction-free.  Columns are taken
 in the fixed anti-lexicographic order; at each column the pivot is the row,
 among those still nonzero there, with the smallest ``(|entry|, row length,
 row key)``, which keeps fill-in and entry size down (a Markowitz-style
 choice), and its sign is flipped so that its entry is positive.  The other
-rows are eliminated in place over the integers by cross-multiplication;
+rows, the matrix's own, are eliminated in place by cross-multiplication;
 a row is divided by the gcd of its entries only when it was multiplied by
 a factor other than 1.  The result does not depend on the pivot rows or
 their scaling: column ``c`` is free exactly when it lies in the span of
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
 from .boxpartitions import _stratum_keys, delta
@@ -144,6 +144,7 @@ class SparseIntMatrix:
     ``col_keys`` holds it as packed keys in the
     :class:`~semiinv.monomials.SIPoly` layout at degree ``k``, and the row
     keys are the target monomials of weight ``m-1`` in the same layout.
+    :func:`_echelon` consumes the matrix: it eliminates ``rows`` in place.
     """
 
     cols: tuple[tuple[int, ...], ...]
@@ -170,7 +171,7 @@ def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
     key of the weight-``m`` stratum and has at most ``n`` nonzero entries;
     its rows are keyed by the image keys ``key + step_i``, which reach
     every monomial of weight ``m-1``.  One walk of the weight-``m`` stratum
-    builds both the columns and the rows.
+    builds both the columns and the rows, into a new matrix on every call.
     """
     if not 1 <= m <= n * k:
         raise ValueError(f"weight {m} outside [1, {n * k}]")
@@ -202,18 +203,18 @@ def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
 
 
 def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], list[int]]:
-    """Integer row echelon form with sparsest-pivot choice.
+    """Integer row echelon form with sparsest-pivot choice, in place.
 
     Returns ``(pivots, free_cols)`` where ``pivots`` is a list of
-    ``(pivot_column, row)`` in ascending pivot-column order.  Rows are
-    copies of ``mat.rows``, sparse dicts over column indices; each pivot
-    row is zero before its pivot column and positive at it.  Among the
-    rows still nonzero at a column, the pivot is the one with the smallest
-    ``(|entry|, row length, row key)``.  Entries stay integral throughout;
-    a row is divided by its content only after it was multiplied by a
-    factor other than 1.
+    ``(pivot_column, row)`` in ascending pivot-column order.  The rows are
+    ``mat.rows``' own dicts, overwritten, so elimination consumes ``mat``;
+    each pivot row is zero before its pivot column and positive at it.
+    Among the rows still nonzero at a column, the pivot is the one with the
+    smallest ``(|entry|, row length, row key)``.  Entries stay integral; a
+    row is divided by its content only after it was multiplied by a factor
+    other than 1.
     """
-    rows = {r: dict(row) for r, row in mat.rows.items()}
+    rows = mat.rows
     # column -> rows not yet used as pivots that are nonzero there
     incidence = [set(col) for col in mat.cols]
     pivots: list[tuple[int, dict[int, int]]] = []
@@ -336,21 +337,21 @@ class KernelBasis:
 
 def _eliminate(
     n: int, k: int, m: int
-) -> tuple[SparseIntMatrix, list[tuple[int, dict[int, int]]], list[int]]:
-    """The lowering matrix of the (k, m) stratum and its :func:`_echelon`.
+) -> tuple[tuple[int, ...], list[tuple[int, dict[int, int]]], list[int]]:
+    """``(col_keys, pivots, free_cols)`` of the lowering matrix of the
+    (k, m) stratum, by :func:`_echelon`; the matrix itself is dropped.
 
     At ``m == 0`` the stratum is the single monomial ``a_0^k``, which ``D``
-    kills: a matrix with no rows and one (free) column.
+    kills, so its one column is free and no matrix is built.
     """
     if n < 0 or k < 0:
         raise ValueError(f"parameters must be nonnegative, got n={n}, k={k}")
     if not 0 <= m <= n * k:
         raise ValueError(f"weight {m} outside [0, {n * k}]")
-    if m:
-        mat = build_D_matrix(n, k, m)
-    else:
-        mat = SparseIntMatrix(((),), {}, tuple(_stratum_keys(k, n, 0)))
-    return (mat, *_echelon(mat))
+    if not m:
+        return tuple(_stratum_keys(k, n, 0)), [], [0]
+    mat = build_D_matrix(n, k, m)
+    return (mat.col_keys, *_echelon(mat))
 
 
 def _divided_power_scales(n: int, k: int, m: int, keys: Sequence[int]) -> list[int]:
@@ -363,18 +364,14 @@ def _divided_power_scales(n: int, k: int, m: int, keys: Sequence[int]) -> list[i
     """
     w = _width(k)
     mask = (1 << w) - 1
-    top = min(n, m)
-    fact = [1]
-    for i in range(1, max(top, min(k, m)) + 1):
-        fact.append(fact[-1] * i)
-    slots = [(fact[i], w * i) for i in range(1, top + 1)]
+    slots = [(factorial(i), w * i) for i in range(1, min(n, m) + 1)]
     out = []
     for key in keys:
         s = 1
         for f, shift in slots:
             e = key >> shift & mask
             if e:
-                s *= f**e * fact[e]
+                s *= f**e * factorial(e)
         out.append(s)
     return out
 
@@ -386,8 +383,7 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     coefficient) and ordered by their defining free column.  For
     ``m <= n*k/2`` the basis size is asserted to equal ``delta(k, n, m)``.
     """
-    mat, pivots, free_cols = _eliminate(n, k, m)
-    keys = mat.col_keys
+    keys, pivots, free_cols = _eliminate(n, k, m)
     # a vector is zero past its free column
     scales = _divided_power_scales(n, k, m, keys[: max(free_cols, default=-1) + 1])
     vectors = []

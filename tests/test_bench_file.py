@@ -13,12 +13,12 @@ _spec.loader.exec_module(bench_file)
 MACHINE = {"python": "3.11.7", "cpu_count": 2, "cpu_model": "cpu", "git_commit": "abc"}
 
 
-def write_run(results, seed, solve_s, written, failed=0):
+def write_run(results, seed, solve_s, written, failed=0, machine=MACHINE):
     metrics = {m: {"median": 1.0} for m in bench_file.BETTER}
     metrics["solve_s"] = {"median": solve_s}
     run = {
         "workload": "kernels-cold", "seed": seed, "seconds": 30.0, "smoke": False,
-        "machine": MACHINE, "attempted": 10, "failed": failed, "problems": [],
+        "machine": machine, "attempted": 10, "failed": failed, "problems": [],
         "metrics": metrics,
     }
     path = results / f"kernels-cold-seed{seed}-trace0.json"
@@ -116,3 +116,29 @@ def test_change_failures_block_the_claim_and_are_flagged(tmp_path):
     assert out["workloads"]["kernels-cold"]["fail_ratio"] == {"parent": 0.0, "change": 1 / 30}
     assert out["claim"]["met"] is False
     assert out["regressions"]["flagged"] == ["kernels-cold:fail_ratio"]
+
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_unknown_commit_refused_and_nothing_written(tmp_path, monkeypatch, side):
+    monkeypatch.setattr(bench_file, "ROOT", tmp_path)
+    dirs = {name: tmp_path / name for name in ("parent", "change")}
+
+    def write_sides(unknown):
+        for name, results in dirs.items():
+            results.mkdir(exist_ok=True)
+            commit = "unknown" if unknown and name == side else "abc"
+            for i in range(3):
+                write_run(results, i, 0.50, 2 * i + (name == "change"),
+                          machine={**MACHINE, "git_commit": commit})
+
+    argv = ["--label", "x", "--parent", str(dirs["parent"]), "--change", str(dirs["change"])]
+    write_sides(unknown=True)
+    with pytest.raises(SystemExit, match="no commit") as exc:
+        bench_file.main(argv)
+    assert exc.value.code != 0
+    assert not (tmp_path / "BENCH_x.json").exists()
+    # the same runs with the commit recorded are summarised
+    write_sides(unknown=False)
+    assert bench_file.main(argv) == 0
+    assert (tmp_path / "BENCH_x.json").exists()

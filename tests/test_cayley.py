@@ -14,7 +14,7 @@ from semiinv.boxpartitions import (
     delta,
     enumerate_partitions_in_box,
 )
-from semiinv.cache import canonical_json_bytes
+from semiinv.cache import canonical_json_bytes, kernel_file_name, kernel_json_bytes
 from semiinv.cayley import (
     KernelBasis,
     SparseIntMatrix,
@@ -346,6 +346,7 @@ class TestEliminationOrder:
                      min_size=mat.nrows, max_size=mat.nrows),
             label="scale",
         )
+        # built first: _echelon consumes the matrix it eliminates
         shuffled = SparseIntMatrix(
             tuple(tuple(relabel[r] for r in col) for col in mat.cols),
             {
@@ -354,6 +355,8 @@ class TestEliminationOrder:
             },
         )
         pivots, free = _echelon(mat)
+        # the pivot rows are the matrix's own rows, and the others end empty
+        assert {id(r) for _, r in pivots} == {id(row) for row in mat.rows.values() if row}
         pivots2, free2 = _echelon(shuffled)
         assert free2 == free
         assert [c for c, _ in pivots2] == [c for c, _ in pivots]
@@ -374,6 +377,16 @@ class TestEliminationOrder:
     def test_large_basis_golden(self, stratum, digest):
         data = canonical_json_bytes(kernel_basis(*stratum).to_json_obj())
         assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_small_strata_kernel_bytes(self):
+        # every stratum with n, k <= 7, each file's name then its bytes
+        h = hashlib.sha256()
+        strata = [(n, k, m) for n in range(8) for k in range(8) for m in range(n * k + 1)]
+        assert len(strata) == 848
+        for n, k, m in strata:
+            h.update(kernel_file_name(n, k, m).encode())
+            h.update(kernel_json_bytes(kernel_basis(n, k, m)))
+        assert h.hexdigest() == "8ea07fea811c4a6f651067f3fb468d0be3694b073aacf076744b3c1f5db11888"
 
 
 class TestPackedKeys:

@@ -11,7 +11,8 @@ written first ran first.  Run from the repository root:
 
 For each side the output records the commit, Python version, cpu count and
 seeds, and for each workload and end-to-end metric the median and quartiles
-over the runs' medians.  Each pair records both sides' run medians and
+over the runs' medians.  A side whose runs record no commit (``unknown``,
+as in a ``git archive`` copy) is refused, and no file is written.  Each pair records both sides' run medians and
 which side ran first; ``change_wins`` counts the pairs where the change
 reads better.  The claim block applies the usual rule: the change wins at
 least nine in ten pairs, and the gap between the medians exceeds the
@@ -72,6 +73,8 @@ def side_info(runs: list[dict]) -> dict:
     if len(machines) != 1:
         raise SystemExit("runs of one side come from different machines or commits")
     machine = runs[0]["machine"]
+    if machine["git_commit"] == "unknown":
+        raise SystemExit("runs of one side record no commit; run them in a git clone")
     return {
         "seconds": sorted({r["seconds"] for r in runs}),
         "commit": machine["git_commit"],
