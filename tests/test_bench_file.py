@@ -118,7 +118,6 @@ def test_change_failures_block_the_claim_and_are_flagged(tmp_path):
     assert out["regressions"]["flagged"] == ["kernels-cold:fail_ratio"]
 
 
-
 @pytest.mark.parametrize("side", ["parent", "change"])
 def test_unknown_commit_refused_and_nothing_written(tmp_path, monkeypatch, side):
     monkeypatch.setattr(bench_file, "ROOT", tmp_path)

@@ -11,8 +11,7 @@ written first ran first.  Run from the repository root:
 
 For each side the output records the commit, Python version, cpu count and
 seeds, and for each workload and end-to-end metric the median and quartiles
-over the runs' medians.  A side whose runs record no commit (``unknown``,
-as in a ``git archive`` copy) is refused, and no file is written.  Each pair records both sides' run medians and
+over the runs' medians.  Each pair records both sides' run medians and
 which side ran first; ``change_wins`` counts the pairs where the change
 reads better.  The claim block applies the usual rule: the change wins at
 least nine in ten pairs, and the gap between the medians exceeds the
@@ -26,6 +25,9 @@ that reads worse than the parent's by more than the metric's ``bound`` in
 tool exits 1 when anything is flagged.  A traced run (``--trace 1``)
 made on both sides with the same workload and seed adds its per-layer
 medians under ``traced``.
+
+A side whose runs record no commit (``unknown``, as in a ``git archive``
+copy) is refused, and no file is written.
 """
 
 from __future__ import annotations
