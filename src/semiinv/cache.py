@@ -17,8 +17,9 @@ and are only ever dropped, so results never depend on call order or
 eviction.
 
 Both the write and the byte check encode a basis with
-:func:`kernel_json_bytes`, which holds one vector's JSON objects at a time
-besides about twice the file's bytes.
+:func:`kernel_json_bytes`, which fills one bytes template per vector and
+builds no object per term; its peak memory is about twice the file's
+bytes.
 
 The cache directory is chosen from, in order: an explicit argument, the
 ``SEMIINV_CACHE`` environment variable, or nothing (memory only).  The CLI
@@ -63,15 +64,17 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def kernel_json_bytes(kb: KernelBasis) -> bytes:
-    """``canonical_json_bytes(kb.to_json_obj())``, encoded one vector at a time.
+    """``canonical_json_bytes(kb.to_json_obj())``, one vector at a time.
 
-    One encode of the whole basis keeps every token as a string until it is
-    done, 12-26 times the file's size; here only one vector's JSON objects
-    and the finished parts are alive at once.
+    Each vector's bytes come from one format call over its terms
+    (:meth:`~semiinv.monomials.SIPoly._json_bytes`), so no JSON object is
+    built.  One encode of the whole basis keeps every token as a string
+    until it is done, 12-26 times the file's size; here the finished parts
+    and one vector's template are alive at once, about twice the file's size.
     """
     # the header's encoding ends in '"vectors":[]}'; keep it up to the '['
     head = _ENCODER.encode({**kb._json_header(), "vectors": []})[:-2].encode()
-    body = b",".join(_ENCODER.encode(v.to_json_list()).encode() for v in kb.vectors)
+    body = b",".join(v._json_bytes() for v in kb.vectors)
     return b"".join((head, body, b"]}\n"))
 
 

@@ -39,9 +39,9 @@ the columns before it, which row operations preserve, and the kernel
 vector with 1 at free column ``f`` and 0 at the other free columns is
 unique.  Back substitution runs on plain integers with an implied common
 denominator, rescaling the entries found so far only when a pivot's
-reduced entry is not 1.  Each vector ``y`` is mapped back to monomials as
-``y_c * (L // s_c)``, with ``L`` the lcm of the ``s_c`` over its support,
-keyed by the column keys and scaled by
+reduced entry is not 1.  Each vector ``y`` is mapped back to monomials
+through the fractions ``y_c / s_c`` in lowest terms, times the lcm ``L``
+of their denominators, keyed by the column keys and scaled by
 :meth:`~semiinv.monomials.SIPoly.primitive` (coprime, with a positive
 leading coefficient), so bases are reproducible bit-for-bit.
 
@@ -388,10 +388,15 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     scales = _divided_power_scales(n, k, m, keys[: max(free_cols, default=-1) + 1])
     vectors = []
     for f in free_cols:
-        # back to monomials: y_c b^(c) = y_c / s_c a^c, cleared by the lcm
+        # back to monomials: y_c b^(c) = y_c / s_c a^c, each fraction in
+        # lowest terms, cleared by the lcm of their denominators
         y = _back_substitute(pivots, f)
-        lcm_s = lcm(*[scales[c] for c in y])
-        terms = {keys[c]: y[c] * (lcm_s // scales[c]) for c in sorted(y)}
+        fracs = {}
+        for c in sorted(y):
+            g = gcd(y[c], scales[c])
+            fracs[keys[c]] = y[c] // g, scales[c] // g
+        den = lcm(*[d for _, d in fracs.values()])
+        terms = {key: num * (den // d) for key, (num, d) in fracs.items()}
         vectors.append(SIPoly._from_keys(n, k, terms).primitive())
     kb = KernelBasis(n, k, m, tuple(vectors))
     if 2 * m <= n * k:

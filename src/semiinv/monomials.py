@@ -32,8 +32,11 @@ exponent reaches the next slot: a product's width comes from the sum of
 its factors' degree bounds (and a factor of another width is re-encoded
 first), and a key is never packed from an exponent that does not fit.
 Keys stay small (45 bits for ``n = 8`` up to degree 31), which keeps key
-arithmetic and hashing cheap.  Exponent tuples appear only at the
-boundaries (``items``, ``sorted_terms``, ``leading_nu``, JSON and ``str``).
+arithmetic and hashing cheap.  Exponents leave the keys only at the
+boundaries, all through one slot-by-slot unpacking step: as tuples in
+``items``, ``sorted_terms``, ``leading_nu``, ``to_json_list`` and ``str``,
+and as the flat values that fill the kernel files' JSON bytes
+(``_json_bytes``), which builds no object per term.
 Values are immutable; all operations return new objects.
 """
 
@@ -73,13 +76,15 @@ def _pack(nu: Sequence[int], w: int) -> int:
     return key
 
 
-def _unpack(keys: Iterable[int], n: int, w: int) -> Iterator[tuple[int, ...]]:
-    """Exponent vectors of ``keys``, in the same order (one pass per slot)."""
+def _slots(keys: Sequence[int], n: int, w: int) -> list[list[int]]:
+    """``[nu_0 of each key, ..., nu_n of each key]``, one pass per slot."""
     mask = (1 << w) - 1
-    keys = list(keys)
-    shifts = range(0, w * (n + 1), w)
-    slots = [[key >> shift & mask for key in keys] for shift in shifts]
-    return zip(*slots)
+    return [[key >> shift & mask for key in keys] for shift in range(0, w * (n + 1), w)]
+
+
+def _unpack(keys: Iterable[int], n: int, w: int) -> Iterator[tuple[int, ...]]:
+    """Exponent vectors of ``keys``, in the same order."""
+    return zip(*_slots(list(keys), n, w))
 
 
 def _repack(terms: dict[int, int], n: int, w: int, w_new: int) -> dict[int, int]:
@@ -355,6 +360,25 @@ class SIPoly:
         """JSON form: terms sorted descending, ``num`` strings over ``den`` "1"."""
         terms = self.sorted_terms()
         return [{"nu": list(nu), "num": str(c), "den": "1"} for nu, c in terms]
+
+    def _json_bytes(self) -> bytes:
+        """:meth:`to_json_list` as compact JSON bytes, without its objects.
+
+        One ``%`` fills a template of every term from the flat sequence
+        ``nu_0, ..., nu_n, c`` of the terms in order, so no per-term object
+        is built.
+        """
+        terms = self._terms
+        keys = sorted(terms)
+        columns = _slots(keys, self.n, _width(self._deg))
+        columns.append(map(terms.__getitem__, keys))
+        stride = len(columns)
+        flat = [0] * (stride * len(keys))
+        for i, column in enumerate(columns):
+            flat[i::stride] = column
+        nu = b",".join([b"%d"] * (self.n + 1))
+        term = b'{"nu":[' + nu + b'],"num":"%d","den":"1"}'
+        return b"[%s]" % (b",".join([term] * len(keys)) % tuple(flat))
 
     @classmethod
     def from_json_list(cls, n: int, obj: Iterable[dict]) -> "SIPoly":

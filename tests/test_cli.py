@@ -580,6 +580,8 @@ class TestKernelJson:
                 tracemalloc.stop()
         old, new = peaks
         assert new < 0.4 * old, peaks
+        # the bytes template and the finished parts, about twice the file
+        assert new < 2.5 * len(cache.kernel_json_bytes(kb)), peaks
 
 
 class TestSuiteParsers:

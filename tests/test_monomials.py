@@ -357,3 +357,38 @@ class TestPackedKeysAgainstReference:
             _pack((32, 0), 5)
         with pytest.raises(ValueError):
             _pack((0, -1), 5)
+
+
+def _compact_json(p):
+    return json.dumps(p.to_json_list(), separators=(",", ":")).encode()
+
+
+class TestJsonBytes:
+    """The kernel files' encoder against ``json`` of the object form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_compact_json_of_to_json_list(self, data):
+        n = data.draw(st.integers(0, 9), label="n")
+        nus = st.tuples(*[EXPONENTS] * (n + 1))
+        coeffs = st.one_of(COEFFS, st.integers(-(2**80), 2**80),
+                           st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1]))
+        terms = data.draw(st.dictionaries(nus, coeffs, max_size=6), label="terms")
+        if data.draw(st.booleans(), label="degree-0 term"):
+            terms[(0,) * (n + 1)] = data.draw(coeffs, label="constant")
+        p = SIPoly(n, terms)
+        if data.draw(st.booleans(), label="rekey"):
+            # a bound of 2**b has slots b + 1 bits wide
+            wide = p._rekey(2 ** data.draw(st.integers(_width(p._deg), 12)))
+            assert _width(wide._deg) > _width(p._deg) and wide == p
+            p = wide
+        assert p._json_bytes() == _compact_json(p)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_zero_and_constant(self, n):
+        zero = SIPoly.zero(n)
+        assert zero._json_bytes() == _compact_json(zero) == b"[]"
+        const = SIPoly.constant(n, -(2**70))
+        expected = b'[{"nu":[%s],"num":"%d","den":"1"}]' % (
+            b",".join([b"0"] * (n + 1)), -(2**70))
+        assert const._json_bytes() == _compact_json(const) == expected
