@@ -87,10 +87,11 @@ def apply_D(p: SIPoly) -> SIPoly:
     # only slots up to the highest occupied one, which the greatest key holds
     top = (max(p._terms, default=0).bit_length() - 1) // w  # -1 for zero p
     steps = _lowering_steps(min(p.n, top), w)
+    terms = p._terms.items()
     out: dict[int, int] = {}
     get = out.get
-    for key, c in p._terms.items():
-        for i, shift, step in steps:
+    for i, shift, step in steps:
+        for key, c in terms:
             e = key >> shift & mask
             if e:
                 mu = key + step

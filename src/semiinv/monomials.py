@@ -99,7 +99,16 @@ def _repack(terms: dict[int, int], n: int, w: int, w_new: int) -> dict[int, int]
 
 
 def _nonzero(terms: dict[int, int]) -> dict[int, int]:
-    """Drop zero coefficients."""
+    """Drop zero coefficients.
+
+    Returns ``terms`` itself when no coefficient is zero, so a caller
+    passes a dict it built and does not keep.
+    """
+    values = terms.values()
+    if all(values):
+        return terms
+    if not any(values):
+        return {}
     return {key: c for key, c in terms.items() if c}
 
 
@@ -253,9 +262,20 @@ class SIPoly:
         # degrees add, so the keys of the product's width add without carries
         deg = self._deg + other._deg
         w = _width(deg)
-        right = list(other._at(w).items())
         acc: dict[int, int] = {}
         get = acc.get
+        if other is self:
+            # a square: each unordered pair of terms once, a cross pair twice
+            terms = list(self._at(w).items())
+            for i, (k1, c1) in enumerate(terms):
+                key = k1 + k1
+                acc[key] = get(key, 0) + c1 * c1
+                twice = 2 * c1
+                for k2, c2 in terms[i + 1:]:
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + twice * c2
+            return self._wrap(_nonzero(acc), deg)
+        right = list(other._at(w).items())
         for k1, c1 in self._at(w).items():
             for k2, c2 in right:
                 key = k1 + k2
@@ -268,8 +288,12 @@ class SIPoly:
         return NotImplemented
 
     def __pow__(self, e: int) -> "SIPoly":
+        if type(e) is not int:
+            raise TypeError(f"exponent {e!r} must be an int")
         if e < 0:
             raise ValueError("negative power of a polynomial")
+        if e == 1:
+            return self
         result = SIPoly.constant(self.n, 1)
         base = self
         while e:
@@ -358,8 +382,11 @@ class SIPoly:
 
     def to_json_list(self) -> list[dict]:
         """JSON form: terms sorted descending, ``num`` strings over ``den`` "1"."""
-        terms = self.sorted_terms()
-        return [{"nu": list(nu), "num": str(c), "den": "1"} for nu, c in terms]
+        terms = self._terms
+        keys = sorted(terms)
+        nus = map(list, _unpack(keys, self.n, _width(self._deg)))
+        nums = map(str, map(terms.__getitem__, keys))
+        return [{"nu": nu, "num": num, "den": "1"} for nu, num in zip(nus, nums)]
 
     def _json_bytes(self) -> bytes:
         """:meth:`to_json_list` as compact JSON bytes, without its objects.

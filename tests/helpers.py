@@ -116,6 +116,19 @@ class RefPoly:
             out = out * self
         return out
 
+    def lower(self):
+        """Image under ``D = sum_i i*a_{i-1} d/da_i``: each term ``c*a^nu``
+        sends ``c*i*nu_i`` to ``nu`` with one unit moved from slot i to i-1."""
+        out = RefPoly(self.n)
+        for nu, c in self.terms.items():
+            for i in range(1, self.n + 1):
+                if nu[i]:
+                    mu = list(nu)
+                    mu[i] -= 1
+                    mu[i - 1] += 1
+                    out._add_term(tuple(mu), c * i * nu[i])
+        return out
+
     def leading_nu(self):
         return min(self.terms, key=lambda nu: nu[::-1])
 

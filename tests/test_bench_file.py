@@ -67,6 +67,32 @@ def test_traced_runs_keep_per_layer_medians_only(sides):
                                           "change": {"cayley.matrix.nnz": 42967}}}
 
 
+def test_traced_median_over_seeds_traced_on_both_sides(tmp_path):
+    sides = tmp_path / "parent", tmp_path / "change"
+    figures = {"parent": [0.047, 0.060, 0.050, 0.9], "change": [0.054, 0.049, 0.051]}
+    for side in sides:
+        side.mkdir()
+        for seed, s in enumerate(figures[side.name]):
+            run = {"workload": "kernels-cold", "seed": seed, "smoke": False, "metrics": {
+                "solve_s": {"median": 0.3}, "cayley.build_D_matrix.self_s": {"median": s},
+                "cayley.matrix.nnz": {"median": 42967}}}
+            (side / f"kernels-cold-seed{seed}-trace1.json").write_text(json.dumps(run))
+        # a workload traced at one seed has no median block
+        run = {"workload": "gauss-scan", "seed": 0, "smoke": False,
+               "metrics": {"qpoly.gauss.calls": {"median": 7}}}
+        (side / "gauss-scan-seed0-trace1.json").write_text(json.dumps(run))
+    runs = [bench_file.load_runs(s, trace=1) for s in sides]
+    out = bench_file.traced_median(*runs)
+    # seed 3 was traced on the parent side only, so it is left out
+    assert out == {"kernels-cold": {
+        "seeds": 3,
+        "parent": {"cayley.build_D_matrix.self_s": 0.050, "cayley.matrix.nnz": 42967},
+        "change": {"cayley.build_D_matrix.self_s": 0.051, "cayley.matrix.nnz": 42967},
+    }}
+    assert set(bench_file.traced(*runs)) == {
+        "gauss-scan-seed0", "kernels-cold-seed0", "kernels-cold-seed1", "kernels-cold-seed2"}
+
+
 def test_no_regression_flagged_within_bounds(sides):
     out = bench_file.summarise(*map(bench_file.load_runs, sides), None)
     reg = out["regressions"]

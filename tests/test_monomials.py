@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiinv.boxpartitions import enumerate_partitions_in_box
+from semiinv.cayley import apply_D
 from semiinv.monomials import SIPoly, _pack, _width
 
 from helpers import I1_TERMS, I2_TERMS, RefPoly, antilex_greater, brute_mul
@@ -261,8 +262,10 @@ class TestSIPoly:
     @pytest.mark.parametrize(
         "op",
         [lambda p: p.scale(Fraction(1, 2)), lambda p: p * Fraction(1, 2),
-         lambda p: Fraction(1, 2) * p, lambda p: p.scale(2.0), lambda p: p * 0.5],
-        ids=["scale", "mul", "rmul", "scale-float", "mul-float"],
+         lambda p: Fraction(1, 2) * p, lambda p: p.scale(2.0), lambda p: p * 0.5,
+         lambda p: p**0.0, lambda p: p**True, lambda p: p**2.0, lambda p: p ** Fraction(2)],
+        ids=["scale", "mul", "rmul", "scale-float", "mul-float",
+             "pow-zero-float", "pow-bool", "pow-float", "pow-fraction"],
     )
     def test_non_int_scalar_rejected(self, op):
         with pytest.raises(TypeError):
@@ -312,7 +315,10 @@ class TestPackedKeysAgainstReference:
         assert same(p + q, rp + rq)
         assert same(p - q, rp - rq)
         assert same(p * q, rp * rq)
+        assert same(p * p, rp * rp)
         assert same(p**e, rp**e)
+        assert p**1 is p
+        assert same(apply_D(p), rp.lower())
         assert same(p.scale(c), rp.scale(c))
         if not p.is_zero():
             assert same(p.primitive(), rp.primitive())

@@ -24,7 +24,9 @@ that reads worse than the parent's by more than the metric's ``bound`` in
 ``WORKLOAD:fail_ratio`` when the change's fail ratio is the higher; the
 tool exits 1 when anything is flagged.  A traced run (``--trace 1``)
 made on both sides with the same workload and seed adds its per-layer
-medians under ``traced``.
+medians under ``traced``.  One traced run per side is noisy, so a workload
+traced at two or more such seeds also gets ``traced_median``: each side's
+median of every per-layer metric over those seeds, and the seed count.
 
 A side whose runs record no commit (``unknown``, as in a ``git archive``
 copy) is refused, and no file is written.
@@ -160,17 +162,38 @@ def regressions(workloads: dict) -> dict:
     return {"workloads": checked, "flagged": flagged}
 
 
+def layers(run: dict) -> dict[str, float]:
+    """A run's per-layer medians: its metrics with a dot in their name."""
+    return {m: v["median"] for m, v in run["metrics"].items() if "." in m}
+
+
 def traced(parent: dict, change: dict) -> dict:
-    """Per-layer medians (the metrics with a dot in their name) of traced pairs."""
+    """Per-layer medians of traced pairs."""
     return {
         f"{workload}-seed{seed}": {
-            side: {
-                m: v["median"] for m, v in runs[workload, seed]["metrics"].items() if "." in m
-            }
+            side: layers(runs[workload, seed])
             for side, runs in (("parent", parent), ("change", change))
         }
         for workload, seed in sorted(parent.keys() & change.keys())
     }
+
+
+def traced_median(parent: dict, change: dict) -> dict:
+    """For each workload traced at two or more seeds on both sides, each
+    side's median of every per-layer metric over those seeds."""
+    keys = sorted(parent.keys() & change.keys())
+    out = {}
+    for workload in sorted({w for w, _ in keys}):
+        seeds = [s for w, s in keys if w == workload]
+        if len(seeds) < 2:
+            continue
+        out[workload] = {"seeds": len(seeds)}
+        for side, runs in (("parent", parent), ("change", change)):
+            per_seed = [layers(runs[workload, s]) for s in seeds]
+            out[workload][side] = {
+                m: statistics.median(f[m] for f in per_seed) for m in per_seed[0]
+            }
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -181,11 +204,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC claimed to improve")
     args = ap.parse_args(argv)
     claim = tuple(args.claim.split(":", 1)) if args.claim else None
+    traced_runs = load_runs(args.parent, 1), load_runs(args.change, 1)
     bench = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         **summarise(load_runs(args.parent), load_runs(args.change), claim),
-        "traced": traced(load_runs(args.parent, 1), load_runs(args.change, 1)),
+        "traced": traced(*traced_runs),
+        "traced_median": traced_median(*traced_runs),
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
