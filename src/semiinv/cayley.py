@@ -33,11 +33,14 @@ row key)``, which keeps fill-in and entry size down (a Markowitz-style
 choice), and its sign is flipped so that its entry is positive.  The other
 rows, the matrix's own, are eliminated in place by cross-multiplication;
 a row is divided by the gcd of its entries only when it was multiplied by
-a factor other than 1.  The result does not depend on the pivot rows or
-their scaling: column ``c`` is free exactly when it lies in the span of
-the columns before it, which row operations preserve, and the kernel
-vector with 1 at free column ``f`` and 0 at the other free columns is
-unique.  Back substitution runs on plain integers with an implied common
+a factor other than 1.  Two cases skip work that would change nothing: a
+column with a single candidate row takes it as pivot with no selection
+and no update, and under a pivot entry of 1 each row is updated by
+``row -= b * pivot_row`` with no gcd and no rescaling.  The result does
+not depend on the pivot rows or their scaling: column ``c`` is free
+exactly when it lies in the span of the columns before it, which row
+operations preserve, and the kernel vector with 1 at free column ``f`` and
+0 at the other free columns is unique.  Back substitution runs on plain integers with an implied common
 denominator, rescaling the entries found so far only when a pivot's
 reduced entry is not 1.  Each vector ``y`` is mapped back to monomials
 through the fractions ``y_c / s_c`` in lowest terms, times the lcm ``L``
@@ -211,9 +214,13 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
     ``mat.rows``' own dicts, overwritten, so elimination consumes ``mat``;
     each pivot row is zero before its pivot column and positive at it.
     Among the rows still nonzero at a column, the pivot is the one with the
-    smallest ``(|entry|, row length, row key)``.  Entries stay integral; a
-    row is divided by its content only after it was multiplied by a factor
-    other than 1.
+    smallest ``(|entry|, row length, row key)``; a lone candidate is the
+    pivot at once, its sign made positive, and no row is updated.  Entries
+    stay integral: each other candidate ``row`` with entry ``b`` becomes
+    ``(a/g) row - (b/g) pivot_row`` for the pivot entry ``a`` and
+    ``g = gcd(a, b)``, which at ``a == 1`` is ``row - b pivot_row`` with no
+    gcd taken; a row is divided by its content only after it was multiplied
+    by a factor other than 1.
     """
     rows = mat.rows
     # column -> rows not yet used as pivots that are nonzero there
@@ -224,16 +231,20 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
         if not cand:
             free_cols.append(c)
             continue
-        piv = None
-        for r in cand:
-            row = rows[r]
-            e = row[c]
-            if e < 0:
-                e = -e
-            if piv is None or e < best or (
-                e == best and (len(row) < size or (len(row) == size and r < piv))
-            ):
-                piv, best, size = r, e, len(row)
+        if len(cand) == 1:
+            # a lone candidate is the pivot, and no other row holds column c
+            piv = next(iter(cand))
+        else:
+            piv = None
+            for r in cand:
+                row = rows[r]
+                e = row[c]
+                if e < 0:
+                    e = -e
+                if piv is None or e < best or (
+                    e == best and (len(row) < size or (len(row) == size and r < piv))
+                ):
+                    piv, best, size = r, e, len(row)
         prow = rows[piv]
         for cc in prow:
             incidence[cc].discard(piv)
@@ -243,19 +254,24 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
             for cc in prow:
                 prow[cc] = -prow[cc]
         pivots.append((c, prow))
+        if not cand:
+            continue
         # every candidate loses column c; only the pivot row's later columns
         # can gain or lose an entry
         rest = [(cc, v) for cc, v in prow.items() if cc != c]
         for r in cand:
             row = rows[r]
             b = row.pop(c)
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            if fa != 1:
-                for cc in row:
-                    row[cc] *= fa
+            # under a unit pivot the update is row -= b * prow, as is
+            fa = 1
+            if a != 1:
+                g = gcd(a, b)
+                fa, b = a // g, b // g
+                if fa != 1:
+                    for cc in row:
+                        row[cc] *= fa
             for cc, v in rest:
-                u = fb * v
+                u = b * v
                 old = row.get(cc)
                 if old is None:
                     row[cc] = -u

@@ -43,6 +43,7 @@ from .boxpartitions import _delta_row
 from .qpoly import (
     QPoly,
     _strictness_break,
+    _sub_shifted,
     _unimodality_break,
     first_negative_index,
     gauss,
@@ -120,7 +121,7 @@ def G(n: int, k: int, r: int) -> QPoly:
         raise ValueError(f"need n >= 1, got {n}")
     if (n * r) % 2:
         raise ValueError(f"n*r must be even, got n={n}, r={r}")
-    return gauss(n + k, k) - gauss(n + k - r, k - r).shift(n * r // 2)
+    return _sub_shifted(gauss(n + k, k), gauss(n + k - r, k - r), n * r // 2)
 
 
 def strange(n: int, k: int, r: int) -> QPoly:
@@ -138,7 +139,7 @@ def strange(n: int, k: int, r: int) -> QPoly:
         raise ValueError(
             f"parameters outside the stated range: n={n} < {2 * r * k - 4 * r + 3}"
         )
-    return gauss(n - 1, k) - gauss(n - 1 + 4 * (r - 1), k - 2).shift(shift)
+    return _sub_shifted(gauss(n - 1, k), gauss(n - 1 + 4 * (r - 1), k - 2), shift)
 
 
 def stanley_zanello(k: int, m: int, b: int) -> QPoly:
@@ -157,7 +158,7 @@ def stanley_zanello(k: int, m: int, b: int) -> QPoly:
     e = num // 2 + b - 2 * k + 2
     if e < 0:
         raise ValueError(f"exponent {e} is negative")
-    return gauss(m, k) - gauss(b, k - 2).shift(e)
+    return _sub_shifted(gauss(m, k), gauss(b, k - 2), e)
 
 
 def bergeron(a: int, b: int, c: int, d: int) -> QPoly:

@@ -292,14 +292,20 @@ class SIPoly:
             raise TypeError(f"exponent {e!r} must be an int")
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        if e == 1:
-            return self
-        result = SIPoly.constant(self.n, 1)
+        if not e:
+            return SIPoly.constant(self.n, 1)
+        # square up to the lowest set bit of e, the first power the result
+        # needs, then multiply in the higher ones; p ** 1 is p
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base if e > 1 else base
             e >>= 1
         return result
 

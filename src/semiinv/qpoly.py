@@ -6,7 +6,8 @@ stores a trailing zero, so the zero polynomial stores nothing at all and has
 degree ``-inf``.  Sums and differences map ``operator.add``/``operator.sub``
 over the two tuples zero-padded to one length and strip the trailing zeros
 once; a shift and a ``gauss`` result wrap a tuple that is already canonical,
-with no copy.
+with no copy.  The difference families' ``a - q**s * b`` is one pass that
+subtracts ``b`` into a copy of ``a`` at offset ``s``.
 
 The Gaussian coefficient ``gauss(a, b)`` is built by the product formula.
 With ``j = min(b, a - b)`` and ``c = a - j`` it is the last link of the chain
@@ -25,8 +26,11 @@ One memo, keyed by ``(c, i)`` and holding plain coefficient tuples, is
 shared by every call: ``gauss(a, b)`` walks down from ``j`` to the highest
 link of its chain already stored, extends the chain from there, and wraps
 the result in a :class:`QPoly` on the way out.  The memo's budget is a fixed
-number of stored coefficients; a step that pushes it past the budget clears
-it down to the entry in hand.  Entries are exact and are only ever dropped,
+number of stored coefficients.  A step that pushes it past the budget cuts
+it down to the highest link of every chain plus the entry in hand, so a
+later call that climbs one of those chains past its kept link resumes
+there rather than at ``i = 1``; if those links alone exceed the budget,
+only the entry in hand is kept.  Entries are exact and are only ever dropped,
 never altered, so results never depend on call order or eviction.
 
 The unimodality predicates operate on coefficient sequences.  A sequence is
@@ -192,10 +196,26 @@ def _padded_map(op, a: tuple[int, ...], b: tuple[int, ...]) -> QPoly:
     return QPoly._wrap(_strip(cs))
 
 
+def _sub_shifted(a: QPoly, b: QPoly, s: int) -> QPoly:
+    """``a - b.shift(s)`` in one pass: ``b``'s coefficients are subtracted
+    into a copy of ``a``'s at offset ``s``, with no shifted or padded copy
+    of ``b`` (``s`` must be nonnegative)."""
+    bc = b.coeffs
+    if not bc:
+        return a
+    cs = list(a.coeffs)
+    end = s + len(bc)
+    if end > len(cs):
+        cs += [0] * (end - len(cs))
+    cs[s:end] = map(operator.sub, cs[s:end], bc)
+    return QPoly._wrap(_strip(tuple(cs)))
+
+
 # The product-chain memo: (c, i) -> coefficients of gauss(c + i, i).  Every
 # gauss() call reads it and extends the chain of its own c.  _MEMO_SIZE is
 # the number of coefficients stored; once a step pushes it past _MEMO_BUDGET
-# the memo is cleared down to the entry just computed.
+# _evict cuts it down to the highest link of every chain and the entry just
+# computed, or to that entry alone.
 _MEMO: dict[tuple[int, int], tuple[int, ...]] = {}
 _MEMO_SIZE = 0
 _MEMO_BUDGET = 1 << 18
@@ -258,10 +278,26 @@ def gauss(a: int, b: int) -> QPoly:
             _MEMO[c, i] = coeffs
             _MEMO_SIZE += len(coeffs)
             if _MEMO_SIZE > _MEMO_BUDGET:
-                _MEMO.clear()
-                _MEMO[c, i] = coeffs
-                _MEMO_SIZE = len(coeffs)
+                _evict(c, i)
     return QPoly._wrap(coeffs)
+
+
+def _evict(c: int, i: int) -> None:
+    """Cut the memo down to the highest link of every chain and the link
+    in hand ``(c, i)``, or to the link in hand alone if those exceed the
+    budget."""
+    global _MEMO_SIZE
+    top: dict[int, int] = {}
+    for cc, ii in _MEMO:
+        if top.get(cc, 0) < ii:
+            top[cc] = ii
+    keep = {(c, i), *top.items()}
+    size = sum(len(_MEMO[link]) for link in keep)
+    if size > _MEMO_BUDGET:
+        keep, size = {(c, i)}, len(_MEMO[c, i])
+    for link in [link for link in _MEMO if link not in keep]:
+        del _MEMO[link]
+    _MEMO_SIZE = size
 
 
 def _first(flags: Iterable[bool], start: int = 0) -> int | None:

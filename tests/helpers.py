@@ -190,8 +190,8 @@ def dense_kernel(n, k, m):
 
     Columns are the images ``apply_D(a^nu)`` of single monomials, taken in
     descending anti-lexicographic order of ``nu`` from the brute-force
-    partition list; rows are every monomial those images reach.  A dense
-    reduced row echelon form over Fractions gives the free columns, and
+    partition list; rows are every monomial those images reach.
+    :func:`gauss_jordan_kernel` gives the free columns, and
     free column ``f`` yields the kernel vector with 1 at ``f`` and 0 at the
     other free columns, scaled to coprime integers with a positive entry at
     its least column.  Returns ``(free_columns, vectors)`` with each vector
@@ -207,9 +207,35 @@ def dense_kernel(n, k, m):
     )
     images = [apply_D(SIPoly(n, {nu: 1})) for nu in cols]
     row_monos = sorted({mu for img in images for mu, _ in img.items()})
-    a = [[Fraction(img.coefficient(mu)) for img in images] for mu in row_monos]
+    a = [[img.coefficient(mu) for img in images] for mu in row_monos]
+    free, kernel = gauss_jordan_kernel(a, len(cols))
+    vectors = []
+    for x in kernel:
+        den = 1
+        for v in x.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        ints = {c: int(v * den) for c, v in x.items()}
+        g = 0
+        for v in ints.values():
+            g = gcd(g, v)
+        if ints[min(ints)] < 0:
+            g = -g
+        vectors.append({cols[c]: v // g for c, v in ints.items()})
+    return free, vectors
+
+
+def gauss_jordan_kernel(a, ncols):
+    """Free columns and nullspace of the integer matrix ``a``, a list of
+    rows of ``ncols`` entries, by plain Gauss-Jordan over Fractions.
+
+    Columns are taken left to right, each pivoting on the first remaining
+    row nonzero there.  Returns ``(free_columns, vectors)``: free column
+    ``f`` gives the kernel vector with 1 at ``f`` and 0 at the other free
+    columns, as a ``{column: Fraction}`` dict of its nonzero entries.
+    """
+    a = [[Fraction(v) for v in row] for row in a]
     pivot_cols = []
-    for c in range(len(cols)):
+    for c in range(ncols):
         r = len(pivot_cols)
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
@@ -222,23 +248,14 @@ def dense_kernel(n, k, m):
                 factor = a[i][c]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
         pivot_cols.append(c)
-    free = [c for c in range(len(cols)) if c not in pivot_cols]
+    free = [c for c in range(ncols) if c not in pivot_cols]
     vectors = []
     for f in free:
         x = {f: Fraction(1)}
         for r, c in enumerate(pivot_cols):
             if a[r][f]:
                 x[c] = -a[r][f]
-        den = 1
-        for v in x.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = {c: int(v * den) for c, v in x.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if ints[min(ints)] < 0:
-            g = -g
-        vectors.append({cols[c]: v // g for c, v in ints.items()})
+        vectors.append(x)
     return free, vectors
 
 

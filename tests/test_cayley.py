@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiinv import cayley
@@ -33,7 +33,14 @@ from semiinv.cayley import (
 from semiinv.monomials import SIPoly, _unpack, _width
 from semiinv.witnesses import triangulate
 
-from helpers import I1_TERMS, I2_TERMS, dense_kernel, dense_rank, run_capped
+from helpers import (
+    I1_TERMS,
+    I2_TERMS,
+    dense_kernel,
+    dense_rank,
+    gauss_jordan_kernel,
+    run_capped,
+)
 
 # classical explicit semi-invariants
 J_QUAD = SIPoly(2, {(1, 0, 1): 1, (0, 2, 0): -1})  # a0 a2 - a1^2 (discriminant)
@@ -315,7 +322,50 @@ def _primitive_int_vector(x):
     return {c: v // g for c, v in x.items()}
 
 
+@st.composite
+def _sparse_matrices(draw):
+    """``(ncols, {row key: {column: entry}})`` with small entries of both
+    signs, so that columns meet unit and non-unit pivots, lone negative
+    candidates and no candidate at all."""
+    ncols = draw(st.integers(0, 7))
+    keys = draw(st.lists(st.integers(-20, 20), max_size=8, unique=True))
+    entries = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 6])
+    rows = {}
+    for key in keys:
+        cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+        if cols:
+            rows[key] = {c: draw(entries) for c in sorted(cols)}
+    return ncols, rows
+
+
 class TestEliminationOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(_sparse_matrices())
+    # column 0: a lone candidate -2; column 1: a unit pivot that updates
+    # row 5; column 2: row 5's -4, now lone; column 3: pivot 2, which
+    # rescales row 11 and divides it by its content 2; column 4: row 11's
+    # -5, now lone; column 5: empty; column 6: free
+    @example((7, {7: {0: -2, 2: 3, 6: 1}, 3: {1: 1, 2: 1, 4: 2, 6: -1},
+                  5: {1: 3, 2: -1, 4: 1}, 9: {3: 2, 4: 4}, 11: {3: 3, 4: 1, 6: 2}}))
+    def test_sparse_matrices_match_gauss_jordan(self, matrix):
+        ncols, rows = matrix
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows.values()]
+        ref_free, ref_kernel = gauss_jordan_kernel(dense, ncols)
+        mat = SparseIntMatrix(
+            tuple(tuple(r for r, row in rows.items() if c in row) for c in range(ncols)),
+            rows,
+        )
+        pivots, free = _echelon(mat)
+        assert free == ref_free
+        assert sorted([c for c, _ in pivots] + free) == list(range(ncols))
+        for c, row in pivots:
+            # a lone candidate's sign flip is seen here and nowhere else
+            assert row[c] > 0 and min(row) == c
+        for f, ref in zip(free, ref_kernel):
+            x = _back_substitute(pivots, f)
+            assert x[f] > 0
+            assert all(x.get(c, 0) == x[f] * ref.get(c, 0) for c in range(ncols))
+
     def test_matches_dense_reference_on_small_strata(self):
         for n in range(6):
             for k in range(6):

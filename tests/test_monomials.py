@@ -230,6 +230,32 @@ class TestSIPoly:
         assert p**1 == p
         assert p**3 == p * p * p
 
+    def test_pow_makes_only_the_products_it_needs(self, monkeypatch):
+        p = SIPoly.variable(2, 0) + SIPoly.variable(2, 1) + SIPoly.variable(2, 2)
+        sixth = p * p * p * p * p * p
+        made = []
+        mul = SIPoly.__mul__
+
+        def counted(a, b):
+            made.append("square" if a is b else "product")
+            return mul(a, b)
+
+        monkeypatch.setattr(SIPoly, "__mul__", counted)
+        for e, products in [
+            (0, []),
+            (1, []),
+            (2, ["square"]),
+            (3, ["square", "product"]),
+            (4, ["square", "square"]),
+            (5, ["square", "square", "product"]),
+            (6, ["square", "square", "product"]),
+        ]:
+            made.clear()
+            p**e
+            assert made == products, e
+        assert p**6 == sixth
+        assert p**1 is p
+
     def test_evaluate(self):
         p = SIPoly(2, {(1, 2, 0): 1, (0, 0, 1): 3})
         assert p.evaluate([2, 3, 6]) == 2 * 9 + 18

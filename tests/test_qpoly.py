@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiinv import boxpartitions, qpoly
@@ -214,6 +214,29 @@ class TestPascalTable:
         assert qpoly._MEMO[100, 100] == p.coeffs
         assert _stored() <= qpoly._MEMO_BUDGET + len(p)
 
+    def test_row_major_sweep_resumes_each_chain(self, monkeypatch):
+        # an F sweep climbs each chain a link or two per cell; with every
+        # chain's top link kept, a budget far below the sweep's links still
+        # computes each link about once
+        _fresh_table(monkeypatch)
+        monkeypatch.setattr(qpoly, "_MEMO_BUDGET", 4000)
+        links = []
+        step = qpoly._chain_step
+
+        def counted(prev, c, i):
+            links.append((c, i))
+            return step(prev, c, i)
+
+        monkeypatch.setattr(qpoly, "_chain_step", counted)
+        for n in range(1, 13):
+            for k in range(2, 25):
+                gauss(n + k, k)
+                gauss(n + k - 2, k - 2)
+        distinct = set(links)
+        assert sum(c * i + 1 for c, i in distinct) > 4 * qpoly._MEMO_BUDGET
+        assert len(links) <= 2 * len(distinct)
+        assert _stored() <= qpoly._MEMO_BUDGET
+
     def test_step_rejects_inexact_division(self):
         # (1 - q^3) / (1 - q^2) leaves a remainder
         with pytest.raises(ArithmeticError):
@@ -374,3 +397,17 @@ class TestScansMatchLoops:
         for got, want in results:
             assert got.coeffs == want
             assert not got.coeffs or got.coeffs[-1] != 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SEQS, _SEQS, st.integers(0, 10))
+    @example([1, 2], [], 3)  # b zero
+    @example([1, 2, 3], [4, 5], 0)  # no shift
+    @example([1, 2], [1, 1, 1], 1)  # b reaches past a
+    @example([1], [1], 3)  # b starts past a
+    @example([1, 2, 3, 4], [3, 4], 2)  # cancellation at the top
+    @example([0, 0, 5], [5], 2)  # everything cancels
+    def test_sub_shifted(self, a, b, s):
+        p, q = QPoly(a), QPoly(b)
+        got = qpoly._sub_shifted(p, q, s)
+        assert got == p - q.shift(s)
+        assert not got.coeffs or got.coeffs[-1] != 0
