@@ -40,13 +40,13 @@ and no update, and under a pivot entry of 1 each row is updated by
 not depend on the pivot rows or their scaling: column ``c`` is free
 exactly when it lies in the span of the columns before it, which row
 operations preserve, and the kernel vector with 1 at free column ``f`` and
-0 at the other free columns is unique.  Back substitution runs on plain integers with an implied common
-denominator, rescaling the entries found so far only when a pivot's
-reduced entry is not 1.  Each vector ``y`` is mapped back to monomials
-through the fractions ``y_c / s_c`` in lowest terms, times the lcm ``L``
-of their denominators, keyed by the column keys and scaled by
-:meth:`~semiinv.monomials.SIPoly.primitive` (coprime, with a positive
-leading coefficient), so bases are reproducible bit-for-bit.
+0 at the other free columns is unique.  Back substitution runs on plain
+integers with an implied common denominator, rescaling the entries found
+so far only when a pivot's reduced entry is not 1.  Each vector ``y`` is
+mapped back to monomials through the fractions ``y_c / s_c`` in lowest
+terms, times the lcm ``L`` of their denominators, keyed by the column keys
+and scaled by :meth:`~semiinv.monomials.SIPoly.primitive` (coprime, with a
+positive leading coefficient), so bases are reproducible bit-for-bit.
 
 For weights up to half the maximum, the computed nullity must equal the
 partition-count difference ``delta(k, n, m)``; every kernel computation
@@ -262,7 +262,7 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
         for r in cand:
             row = rows[r]
             b = row.pop(c)
-            # under a unit pivot the update is row -= b * prow, as is
+            # a unit pivot subtracts b * prow as is, since gcd(1, b) == 1
             fa = 1
             if a != 1:
                 g = gcd(a, b)

@@ -30,8 +30,9 @@ number of stored coefficients.  A step that pushes it past the budget cuts
 it down to the highest link of every chain plus the entry in hand, so a
 later call that climbs one of those chains past its kept link resumes
 there rather than at ``i = 1``; if those links alone exceed the budget,
-only the entry in hand is kept.  Entries are exact and are only ever dropped,
-never altered, so results never depend on call order or eviction.
+only the entry in hand is kept.  Entries are exact and are only ever
+dropped, never altered, so results never depend on call order or
+eviction.
 
 The unimodality predicates operate on coefficient sequences.  A sequence is
 unimodal if it rises weakly and then falls weakly.  The strict variant used
