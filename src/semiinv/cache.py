@@ -12,9 +12,8 @@ recomputed and rewritten, not trusted.
 
 The memory holds bases only.  Its budget is a fixed number of stored basis
 terms; an insert that pushes it past the budget clears the memo down to
-the entry in hand, the policy of the ``gauss`` memo.  Entries are exact
-and are only ever dropped, so results never depend on call order or
-eviction.
+the entry in hand.  Entries are exact and are only ever dropped, so
+results never depend on call order or eviction.
 
 Both the write and the byte check encode a basis with
 :func:`kernel_json_bytes`, which fills one bytes template per vector and

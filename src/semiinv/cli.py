@@ -130,8 +130,6 @@ def _verify_G(args: argparse.Namespace) -> int:
 
 
 def _verify_nr8(args: argparse.Namespace) -> int:
-    if args.cache_dir is not None and not args.with_kernel:
-        raise ValueError("verify nr8 reads --cache-dir only with --with-kernel")
     # fixed base grid 8 <= n, r < 16 with n*r even
     rows = base_grid_deltas()
     bad = [(n, r, d) for n, r, d in rows if d < 2]
@@ -140,12 +138,6 @@ def _verify_nr8(args: argparse.Namespace) -> int:
     if bad:
         print(f"FAIL: {len(bad)} cells below 2: {bad}")
         return 3
-    if args.with_kernel:
-        _info("computing kernel nullity at (n=8, k=8, m=32) ...")
-        kb = cache.kernel_basis_cached(8, 8, 32, _cache_dir(args))
-        print(f"kernel nullity at (8,8,32) = {kb.dim}")
-        if kb.dim < 2:
-            return 3
     print("nr8: all base cells have delta >= 2")
     return 0
 
@@ -219,10 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (_command(suites, "F", _verify_F, nmax=6, kmax=6),
               _command(suites, "G", _verify_G, nmax=6, kmax=6, rmax=10)):
         p.add_argument("--out", help="report file prefix (default: no report)")
-    p = _command(suites, "nr8", _verify_nr8)
-    p.add_argument("--with-kernel", action="store_true",
-                   help="also compute the kernel nullity at (8,8,32)")
-    p.add_argument("--cache-dir", help="read only with --with-kernel")
+    _command(suites, "nr8", _verify_nr8)
 
     families = sub.add_parser(
         "scan", help="Scan a conjecture family and record findings"

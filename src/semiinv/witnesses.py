@@ -34,7 +34,7 @@ from weakref import WeakKeyDictionary
 
 from .boxpartitions import delta
 from .cache import kernel_basis_cached
-from .cayley import KernelBasis, _distinct_leads
+from .cayley import KernelBasis, SylvesterMismatchError, _distinct_leads
 from .monomials import SIPoly
 
 # KernelBasis -> its triangulated vectors; an entry lives as long as its
@@ -122,8 +122,10 @@ def _triangle(
     if tri is None:
         tri = _triangle_memo[kb] = tuple(triangulate(kb.vectors))
     if len(tri) < d:
-        raise RuntimeError(f"kernel at (n={n}, k={k}, m={m}) has {len(tri)} vectors; "
-                           f"the dimension bound guarantees at least {d}")
+        raise SylvesterMismatchError(
+            f"kernel at (n={n}, k={k}, m={m}) has {len(tri)} vectors; "
+            f"the dimension bound guarantees at least {d}"
+        )
     return tri
 
 

@@ -338,6 +338,14 @@ def _sparse_matrices(draw):
     return ncols, rows
 
 
+def _sparse(ncols, rows):
+    """The :class:`SparseIntMatrix` of ``{row key: {column: entry}}``."""
+    return SparseIntMatrix(
+        tuple(tuple(r for r, row in rows.items() if c in row) for c in range(ncols)),
+        rows,
+    )
+
+
 class TestEliminationOrder:
     @settings(max_examples=300, deadline=None)
     @given(_sparse_matrices())
@@ -351,11 +359,7 @@ class TestEliminationOrder:
         ncols, rows = matrix
         dense = [[row.get(c, 0) for c in range(ncols)] for row in rows.values()]
         ref_free, ref_kernel = gauss_jordan_kernel(dense, ncols)
-        mat = SparseIntMatrix(
-            tuple(tuple(r for r, row in rows.items() if c in row) for c in range(ncols)),
-            rows,
-        )
-        pivots, free = _echelon(mat)
+        pivots, free = _echelon(_sparse(ncols, rows))
         assert free == ref_free
         assert sorted([c for c, _ in pivots] + free) == list(range(ncols))
         for c, row in pivots:
@@ -365,6 +369,38 @@ class TestEliminationOrder:
             x = _back_substitute(pivots, f)
             assert x[f] > 0
             assert all(x.get(c, 0) == x[f] * ref.get(c, 0) for c in range(ncols))
+
+    # each case: two candidates at column 0, the set's first not the pivot
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ({1: {0: 2, 1: 1}, 2: {0: -1, 1: 1}}, 2),  # the smaller |entry|
+            ({1: {0: 1, 1: 1, 2: 1}, 2: {0: 1, 2: 1}}, 2),  # the shorter row
+            ({8: {0: 1, 1: 1}, 1: {0: 1, 2: 1}}, 1),  # the smaller row key
+        ],
+        ids=["entry", "length", "key"],
+    )
+    def test_pivot_is_the_smallest_candidate(self, rows, expected):
+        mat = _sparse(3, rows)
+        assert next(iter(set(mat.cols[0]))) != expected
+        pivots, _ = _echelon(mat)
+        assert pivots[0][0] == 0 and pivots[0][1] is mat.rows[expected]
+
+    def test_rescaled_row_divided_by_its_content(self):
+        # pivot 2 against 3: row 2 becomes 2*row2 - 3*row1 = {1: -4, 2: 4},
+        # divided by 4, then pivots at column 1 with its sign flipped
+        mat = _sparse(3, {1: {0: 2, 1: 2}, 2: {0: 3, 1: 1, 2: 2}})
+        pivots, free = _echelon(mat)
+        assert pivots == [(0, {0: 2, 1: 2}), (1, {1: 1, 2: -1})] and free == [2]
+        assert pivots[1][1] is mat.rows[2]
+
+    def test_pivot_rows_golden(self):
+        # the pivot rule and the content pass fix the rows' size and growth
+        pivots, _ = _echelon(build_D_matrix(8, 8, 32))
+        assert (
+            sum(len(row) for _, row in pivots),
+            max(abs(v).bit_length() for _, row in pivots for v in row.values()),
+        ) == (5539, 39)
 
     def test_matches_dense_reference_on_small_strata(self):
         for n in range(6):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import semiinv
 from semiinv import cache, differences
-from semiinv.cli import main
+from semiinv.cli import build_parser, main
 
 from helpers import run_capped
 
@@ -423,6 +423,7 @@ class TestVerifyCommand:
             ["scan", "bergeron", "--bound", "2", "--include-below-range"],
             ["scan", "strange", "--nmax", "9", "--kmax", "4", "--include-below-range"],
             ["verify", "nr8", "--cache-dir", "c"],
+            ["verify", "nr8", "--with-kernel"],
         ],
     )
     def test_nr8_rejects_grid_flags(self, capsys, tmp_path, monkeypatch, flags):
@@ -434,17 +435,6 @@ class TestVerifyCommand:
                 "--cache-dir", "--out", "--include-below-range")
         assert all(flag in err for flag in flags[2:] if flag in grid)
         assert list(tmp_path.iterdir()) == []
-
-    def test_nr8_with_kernel_reads_cache_dir(self, capsys, tmp_path):
-        cache.clear_memory_cache()
-        try:
-            code, out, _ = run_cli(capsys, "verify", "nr8", "--with-kernel",
-                                   "--cache-dir", str(tmp_path))
-        finally:
-            cache.clear_memory_cache()
-        assert code == 0
-        assert "kernel nullity at (8,8,32) = " in out
-        assert [p.name for p in tmp_path.iterdir()] == ["kernel_n8_k8_m32.json"]
 
     @pytest.mark.parametrize(
         "suite, defaults",
@@ -540,12 +530,18 @@ class TestScanCommand:
 
 
 def _readme_flags():
-    """``(command, suite) -> flags`` from the README's table of the flags
-    each suite or family reads."""
+    """``(command, suite) -> {flag: default}`` from the README's table of the
+    flags each suite or family reads; a flag listed without a number maps
+    to ``None``."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(verify|scan) ([\w-]+)` \| (.*) \|$", readme, re.M)
-    return {(command, suite): set(re.findall(r"`(--[\w-]+)`", flags))
-            for command, suite, flags in rows}
+    return {
+        (command, suite): {
+            flag: int(default) if default else None
+            for flag, default in re.findall(r"`(--[\w-]+)`(?: (\d+))?", flags)
+        }
+        for command, suite, flags in rows
+    }
 
 
 @st.composite
@@ -584,12 +580,14 @@ class TestKernelJson:
         assert new < 2.5 * len(cache.kernel_json_bytes(kb)), peaks
 
 
+SUBCOMMANDS = [
+    ("verify", "sylvester"), ("verify", "F"), ("verify", "G"), ("verify", "nr8"),
+    ("scan", "F-strict"), ("scan", "strange"), ("scan", "bergeron"),
+]
+
+
 class TestSuiteParsers:
-    @pytest.mark.parametrize(
-        "command, suite",
-        [("verify", "sylvester"), ("verify", "F"), ("verify", "G"), ("verify", "nr8"),
-         ("scan", "F-strict"), ("scan", "strange"), ("scan", "bergeron")],
-    )
+    @pytest.mark.parametrize("command, suite", SUBCOMMANDS)
     def test_help_lists_the_flags_read(self, capsys, command, suite):
         code, out, _ = run_cli(capsys, command, suite, "--help")
         assert code == 0
@@ -597,6 +595,14 @@ class TestSuiteParsers:
         assert set(re.findall(r"\[(-[\w-]+)", usage)) == {
             "-h", *_readme_flags()[command, suite]
         }
+
+    @pytest.mark.parametrize("command, suite", SUBCOMMANDS)
+    def test_readme_lists_the_defaults(self, command, suite):
+        readme = _readme_flags()[command, suite]
+        parsed = vars(build_parser().parse_args([command, suite]))
+        defaults = {flag: parsed[flag[2:].replace("-", "_")] for flag in readme}
+        # a switch defaults to False and is listed without a number
+        assert readme == {f: None if d is False else d for f, d in defaults.items()}
 
     def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -613,19 +619,10 @@ class TestSuiteParsers:
             a, b, c = ((tmp_path / f"{p}.{suffix}").read_bytes() for p in "abc")
             assert a != b == c
 
-        cache.clear_memory_cache()
-        try:
-            code, out, _ = run_cli(capsys, "verify", "nr8", "--with-kernel")
-            assert code == 0 and "kernel nullity" in out
-            code, out, _ = run_cli(capsys, "verify", "nr8")
-        finally:
-            cache.clear_memory_cache()
-        assert code == 0 and "kernel nullity" not in out
-
     @pytest.mark.parametrize(
         "argv",
         [["verify", "--nmax", "3", "sylvester"], ["scan", "--jobs", "2", "bergeron"],
-         ["verify", "--with-kernel", "nr8"]],
+         ["scan", "--include-below-range", "F-strict"]],
     )
     def test_flags_before_suite_rejected(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -751,15 +748,6 @@ class TestExitCodeContract:
         assert code == 3
         assert "n=8 r=10 delta=1\n" in out
         assert out.endswith("FAIL: 1 cells below 2: [(8, 10, 1)]\n")
-
-    def test_nr8_kernel_nullity_below_two_exits_three(self, capsys, monkeypatch):
-        from types import SimpleNamespace
-
-        monkeypatch.setattr(cache, "kernel_basis_cached",
-                            lambda n, k, m, cache_dir: SimpleNamespace(dim=1))
-        code, out, _ = run_cli(capsys, "verify", "nr8", "--with-kernel")
-        assert code == 3
-        assert out.endswith("kernel nullity at (8,8,32) = 1\n")
 
     def test_inexact_gauss_division_exits_three(self, capsys, monkeypatch):
         from semiinv import qpoly

@@ -6,7 +6,7 @@ import pytest
 from semiinv import cache, cayley, witnesses
 from semiinv.boxpartitions import delta
 from semiinv.cache import canonical_json_bytes, kernel_basis_cached
-from semiinv.cayley import KernelBasis, apply_D, kernel_basis
+from semiinv.cayley import KernelBasis, SylvesterMismatchError, apply_D, kernel_basis
 from semiinv.monomials import SIPoly
 from semiinv.witnesses import (
     DependenceError,
@@ -187,7 +187,7 @@ class TestKernelTriangleGuard:
             return KernelBasis(n, k, m, real(n, k, m, cache_dir).vectors[:1])
 
         monkeypatch.setattr(witnesses, "kernel_basis_cached", first_only)
-        with pytest.raises(RuntimeError, match="guarantees at least 2"):
+        with pytest.raises(SylvesterMismatchError, match="guarantees at least 2"):
             build()
 
 
