@@ -47,10 +47,6 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _cache_dir(args: argparse.Namespace) -> Path:
-    return cache.resolve_cache_dir(args.cache_dir) or Path(DEFAULT_CACHE_DIR)
-
-
 def _at_least(low: int):
     """An argparse ``type`` reading an integer no smaller than ``low``."""
     def integer(text: str) -> int:
@@ -84,7 +80,8 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    tri = _triangle(args.n, args.k, args.m, 0, _cache_dir(args))
+    cache_dir = cache.resolve_cache_dir(args.cache_dir) or Path(DEFAULT_CACHE_DIR)
+    tri = _triangle(args.n, args.k, args.m, 0, cache_dir)
     data = cache.kernel_json_bytes(KernelBasis(args.n, args.k, args.m, tri))
     if args.out:
         cache.atomic_write_bytes(Path(args.out), data)
