@@ -4,8 +4,9 @@ Everything in this package is exact integer arithmetic: Gaussian
 coefficients and their difference families, partition counting in a box,
 the lowering-operator kernel (semi-invariant bases) via fraction-free
 sparse elimination, and the witness constructions and grid verifiers
-built on top.  Fractions appear only in ``shear_check``, which evaluates
-a semi-invariant at rational points.
+built on top.  Fractions appear only in ``SIPoly.evaluate`` and
+``shear_check``, which evaluate a semi-invariant at rational points;
+``fractions`` is imported on their first use.
 """
 
 from .boxpartitions import (

@@ -57,13 +57,9 @@ def kernel_file_name(n: int, k: int, m: int) -> str:
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
 
 
-def canonical_json_bytes(obj) -> bytes:
-    """Byte-stable JSON: fixed separators, preserved key order, one newline."""
-    return (_ENCODER.encode(obj) + "\n").encode()
-
-
 def kernel_json_bytes(kb: KernelBasis) -> bytes:
-    """``canonical_json_bytes(kb.to_json_obj())``, one vector at a time.
+    """``kb.to_json_obj()`` as byte-stable JSON (fixed separators, key order
+    kept, one closing newline), built one vector at a time.
 
     Each vector's bytes come from one format call over its terms
     (:meth:`~semiinv.monomials.SIPoly._json_bytes`), so no JSON object is

@@ -12,40 +12,26 @@ the underlying form, checked directly by :func:`shear_check`) exactly when
 ``D`` annihilates it, so semi-invariant bases are nullspaces of the sparse
 integer matrices built here.
 
-The matrix is built in the divided-power basis ``a^nu / s(nu)`` with
-``s(nu) = prod_{i=1..n} (i!)^nu_i nu_i!`` (slot 0 left out), where ``D``
-sends ``a_i / i!`` to ``a_{i-1} / (i-1)!``: its entries are 1 and
-``nu_{i-1} + 1`` in place of ``i*nu_i``, so more pivots are 1 and fewer
-rows need rescaling.  These are positive diagonal row and column scalings
-of the monomial matrix, so the rank and the free columns are the same.
-One walk of the weight-``m`` stratum, as keys in the ``SIPoly`` layout at
-degree ``k`` (see :mod:`semiinv.boxpartitions`), gives the columns, and
-each column's image keys ``key + step_i`` (the rule :func:`apply_D` uses)
-key the rows, which are the weight-``m-1`` stratum.
-:func:`kernel_basis` and :func:`semiinvariant_dim` share one entry that
-checks the arguments, builds the matrix and eliminates it; at weight 0 no
-matrix is built, since the single monomial ``a_0^k`` is the kernel.
+The matrix is built by :func:`build_D_matrix` in the divided-power basis
+``a^nu / s(nu)``, where its entries are 1 and ``nu_{i-1} + 1`` in place of
+``i*nu_i``, so more pivots are 1 and fewer rows need rescaling.  These are
+positive diagonal row and column scalings of the monomial matrix, so the
+rank and the free columns are the same.  :func:`kernel_basis` and
+:func:`semiinvariant_dim` share one entry that checks the arguments,
+builds the matrix and eliminates it; at weight 0 no matrix is built, since
+the single monomial ``a_0^k`` is the kernel.
 
-The nullspace computation is exact and fraction-free.  Columns are taken
-in the fixed anti-lexicographic order; at each column the pivot is the row,
-among those still nonzero there, with the smallest ``(|entry|, row length,
-row key)``, which keeps fill-in and entry size down (a Markowitz-style
-choice), and its sign is flipped so that its entry is positive.  The other
-rows, the matrix's own, are eliminated in place by cross-multiplication;
-a row is divided by the gcd of its entries only when it was multiplied by
-a factor other than 1.  Two cases skip work that would change nothing: a
-column with a single candidate row takes it as pivot with no selection
-and no update, and under a pivot entry of 1 each row is updated by
-``row -= b * pivot_row`` with no gcd and no rescaling.  The result does
-not depend on the pivot rows or their scaling: column ``c`` is free
-exactly when it lies in the span of the columns before it, which row
-operations preserve, and the kernel vector with 1 at free column ``f`` and
-0 at the other free columns is unique.  Back substitution runs on plain
-integers with an implied common denominator, rescaling the entries found
-so far only when a pivot's reduced entry is not 1.  Each vector ``y`` is
-mapped back to monomials through the fractions ``y_c / s_c`` in lowest
-terms, times the lcm ``L`` of their denominators, keyed by the column keys
-and scaled by :meth:`~semiinv.monomials.SIPoly.primitive` (coprime, with a
+The nullspace computation is exact and fraction-free: :func:`_echelon`
+takes the columns in the fixed anti-lexicographic order with a
+Markowitz-style pivot choice and eliminates by cross-multiplication, and
+:func:`_back_substitute` runs on plain integers with an implied common
+denominator.  The result does not depend on the pivot rows or their
+scaling: column ``c`` is free exactly when it lies in the span of the
+columns before it, which row operations preserve, and the kernel vector
+with 1 at free column ``f`` and 0 at the other free columns is unique.
+Each vector ``y`` is mapped back to monomials through the fractions
+``y_c / s_c`` in lowest terms, times the lcm of their denominators, and
+scaled by :meth:`~semiinv.monomials.SIPoly.primitive` (coprime, with a
 positive leading coefficient), so bases are reproducible bit-for-bit.
 
 For weights up to half the maximum, the computed nullity must equal the
@@ -60,13 +46,11 @@ Three checks certify a family of semi-invariants from :func:`apply_D`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections.abc import Sequence
 from math import comb, factorial, gcd, lcm
-from typing import Sequence
 
 from .boxpartitions import _stratum_keys, delta
-from .monomials import SIPoly, _nonzero, _width
+from .monomials import SIPoly, _nonzero, _Record, _width
 
 
 class SylvesterMismatchError(RuntimeError):
@@ -136,8 +120,7 @@ def _canonical(n: int, k: int, m: int, vs: Sequence[SIPoly]) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SparseIntMatrix:
+class SparseIntMatrix(_Record):
     """Sparse integer matrix, stored both by column and by row.
 
     Columns are indexed ``0..ncols-1`` and rows by their packed row keys.
@@ -151,9 +134,12 @@ class SparseIntMatrix:
     :func:`_echelon` consumes the matrix: it eliminates ``rows`` in place.
     """
 
-    cols: tuple[tuple[int, ...], ...]
-    rows: dict[int, dict[int, int]]
-    col_keys: tuple[int, ...] = ()
+    __slots__ = _fields = ("cols", "rows", "col_keys")
+
+    def __init__(self, cols: tuple, rows: dict, col_keys: tuple = ()):
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "col_keys", col_keys)
 
     @property
     def nrows(self) -> int:
@@ -318,14 +304,18 @@ def _back_substitute(
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class KernelBasis:
+class KernelBasis(_Record):
     """Exact basis of the semi-invariants of degree ``k`` and weight ``m``."""
 
-    n: int
-    k: int
-    m: int
-    vectors: tuple[SIPoly, ...] = field(default=())
+    _fields = ("n", "k", "m", "vectors")
+    # weakly referenced: witnesses memoises triangulations per basis
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, n: int, k: int, m: int, vectors: tuple[SIPoly, ...] = ()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def dim(self) -> int:
@@ -436,13 +426,12 @@ def semiinvariant_dim(n: int, k: int, m: int) -> int:
     return len(_eliminate(n, k, m)[2])
 
 
-def shear_coefficients(
-    a: Sequence[int | Fraction], h: int | Fraction
-) -> list[Fraction]:
+def shear_coefficients(a: Sequence[int | Fraction], h: int | Fraction) -> list[Fraction]:
     """Coefficients of the form after the shear ``x -> x + h*y``.
 
     ``a_i' = sum_j C(i, j) * a_{i-j} * h**j``.
     """
+    from fractions import Fraction  # imported on first use, not at start-up
     vals = [Fraction(v) for v in a]
     hh = Fraction(h)
     out = []

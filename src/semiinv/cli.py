@@ -99,9 +99,7 @@ def _write_reports(reports, prefix: str) -> str:
 
 def _verify_sylvester(args: argparse.Namespace) -> int:
     bad = sylvester_grid_mismatches(args.nmax, args.kmax)
-    cells = sum(
-        n * k // 2 + 1 for n in range(args.nmax + 1) for k in range(args.kmax + 1)
-    )
+    cells = sum(n * k // 2 + 1 for n in range(args.nmax + 1) for k in range(args.kmax + 1))
     if bad:
         for n, k, m, d, dim in bad:
             print(f"MISMATCH n={n} k={k} m={m} delta={d} kernel={dim}")

@@ -32,14 +32,15 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import partial
 from itertools import compress, count
 from operator import ne, sub
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
 
 from .boxpartitions import _delta_row
+from .monomials import _Record
 from .qpoly import (
     QPoly,
     _strictness_break,
@@ -69,26 +70,31 @@ def coefficients_digest(p: QPoly) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     """Outcome of the checks run on one parameter tuple.
 
     ``witness`` is the first offending coefficient index and is present
-    exactly when some check failed.
+    exactly when some check failed.  Reports with equal fields are equal.
     """
 
-    family: str
-    params: dict
-    checks: dict
-    witness: int | None
-    coefficients_digest: str
+    __slots__ = _fields = ("family", "params", "checks", "witness", "coefficients_digest")
 
-    def __post_init__(self):
-        failed = any(not ok for ok in self.checks.values())
-        if failed and self.witness is None:
+    def __init__(self, family: str, params: dict, checks: dict, witness: int | None,
+                 coefficients_digest: str):
+        failed = any(not ok for ok in checks.values())
+        if failed and witness is None:
             raise ValueError("failed checks require a witness index")
-        if not failed and self.witness is not None:
+        if not failed and witness is not None:
             raise ValueError("witness given although every check passed")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "coefficients_digest", coefficients_digest)
+
+    def __eq__(self, other):
+        same = type(other) is ScanReport
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
 
     @property
     def passed(self) -> bool:
@@ -176,13 +182,10 @@ def bergeron(a: int, b: int, c: int, d: int) -> QPoly:
 # the check loop shared by verifiers and scanners
 
 
-class _Suite(NamedTuple):
-    """One verifier or scanner: a family, its report fields and its checks."""
-
-    family: str  # name of the constructor in this module
-    param_names: tuple[str, ...]
-    checks: tuple[str, ...]  # keys of _CHECKS, run in this order
-    proved: bool  # a failure raises VerificationError instead of being recorded
+# one verifier or scanner: the name of its constructor in this module, its
+# report fields, the keys of _CHECKS it runs in order, and whether a failure
+# raises VerificationError instead of being recorded
+_Suite = namedtuple("_Suite", ("family", "param_names", "checks", "proved"))
 
 
 _SUITES = {
@@ -321,18 +324,11 @@ def scan_conjecture_F_strict(
     surfaced.
     """
     n_lo, k_lo = (1, 2) if include_below_range else (8, 15)
-    cells = [
-        (n, k)
-        for n in range(n_lo, n_max + 1)
-        for k in range(k_lo, k_max + 1)
-        if n * k >= 4
-    ]
+    cells = [(n, k) for n in range(n_lo, n_max + 1) for k in range(k_lo, k_max + 1) if n * k >= 4]
     return _run_cells(_SUITES["F-strict"], cells, jobs)
 
 
-def scan_strange(
-    n_max: int, k_max: int, r_max: int, jobs: int = 1
-) -> list[ScanReport]:
+def scan_strange(n_max: int, k_max: int, r_max: int, jobs: int = 1) -> list[ScanReport]:
     """Nonnegativity and unimodality findings for the strange family."""
     cells = [
         (n, k, r)

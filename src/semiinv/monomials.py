@@ -42,10 +42,9 @@ Values are immutable; all operations return new objects.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def _check_exponents(nu: tuple) -> None:
@@ -110,6 +109,25 @@ def _nonzero(terms: dict[int, int]) -> dict[int, int]:
     if not any(values):
         return {}
     return {key: c for key, c in terms.items() if c}
+
+
+class _Record:
+    """Immutable record: a subclass names its fields in ``_fields`` and
+    ``__slots__`` and sets them with ``object.__setattr__`` in ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class SIPoly:
@@ -332,6 +350,7 @@ class SIPoly:
 
     def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
         """Exact evaluation at a rational point ``(a_0, ..., a_n)``."""
+        from fractions import Fraction  # imported on first use, not at start-up
         if len(values) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} values, got {len(values)}")
         vals = [Fraction(v) for v in values]

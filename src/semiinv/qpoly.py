@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, compress, count, islice
-from typing import Iterable, Iterator
 
 NEG_INF = float("-inf")
 

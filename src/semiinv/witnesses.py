@@ -28,8 +28,8 @@ taken on faith from the counting side.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from math import gcd
-from typing import Sequence
 from weakref import WeakKeyDictionary
 
 from .boxpartitions import delta

@@ -9,6 +9,7 @@ sums are kept here in their plain loop form, on coefficient tuples.
 :func:`run_capped` runs a Python child with bounded memory and time.
 """
 
+import json
 import os
 import resource
 import subprocess
@@ -19,6 +20,12 @@ from math import gcd, lcm
 
 import semiinv
 from semiinv.qpoly import NonnegativityViolation
+
+
+def canonical_json_bytes(obj):
+    """Byte-stable JSON: fixed separators, preserved key order, one newline;
+    the form of every kernel file."""
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
 
 
 def brute_partitions(k, n, m):

@@ -14,7 +14,7 @@ from semiinv.boxpartitions import (
     delta,
     enumerate_partitions_in_box,
 )
-from semiinv.cache import canonical_json_bytes, kernel_file_name, kernel_json_bytes
+from semiinv.cache import kernel_file_name, kernel_json_bytes
 from semiinv.cayley import (
     KernelBasis,
     SparseIntMatrix,
@@ -36,6 +36,7 @@ from semiinv.witnesses import triangulate
 from helpers import (
     I1_TERMS,
     I2_TERMS,
+    canonical_json_bytes,
     dense_kernel,
     dense_rank,
     gauss_jordan_kernel,

@@ -16,7 +16,7 @@ import semiinv
 from semiinv import cache, differences
 from semiinv.cli import build_parser, main
 
-from helpers import run_capped
+from helpers import canonical_json_bytes, run_capped
 
 
 def run_cli(capsys, *argv):
@@ -284,30 +284,30 @@ class TestCache:
             lambda obj: _with_vectors(obj, lambda v1, v2: [v2, v1]),
             # the right basis in bytes that are not the canonical ones
             lambda obj: json.dumps(obj, indent=1).encode(),
-            lambda obj: cache.canonical_json_bytes(dict(reversed(obj.items()))),
-            lambda obj: cache.canonical_json_bytes(obj).replace(
+            lambda obj: canonical_json_bytes(dict(reversed(obj.items()))),
+            lambda obj: canonical_json_bytes(obj).replace(
                 b'"num":"1"', b'"num":"+1"', 1
             ),
             # a coefficient that does not decode to a number
-            lambda obj: cache.canonical_json_bytes(obj).replace(
+            lambda obj: canonical_json_bytes(obj).replace(
                 b'"den":"1"', b'"den":"0"', 1
             ),
             # an exponent that decodes to a float
-            lambda obj: cache.canonical_json_bytes(obj).replace(
+            lambda obj: canonical_json_bytes(obj).replace(
                 b'"nu":[0', b'"nu":[0.0', 1
             ),
             # a coefficient that is not an integer
-            lambda obj: cache.canonical_json_bytes(obj).replace(
+            lambda obj: canonical_json_bytes(obj).replace(
                 b'"den":"1"', b'"den":"2"', 1
             ),
             # numbers that decode to an infinite float
-            lambda obj: cache.canonical_json_bytes(obj).replace(b'"n":4', b'"n":1e999', 1),
-            lambda obj: cache.canonical_json_bytes(obj).replace(
+            lambda obj: canonical_json_bytes(obj).replace(b'"n":4', b'"n":1e999', 1),
+            lambda obj: canonical_json_bytes(obj).replace(
                 b'"num":"3"', b'"num":1e999', 1
             ),
             # arrays nested deeper than the decoder's recursion limit
             lambda obj: b"[" * 100000 + b"]" * 100000,
-            lambda obj: cache.canonical_json_bytes({**obj, "vectors": []}).replace(
+            lambda obj: canonical_json_bytes({**obj, "vectors": []}).replace(
                 b'"vectors":[]', b'"vectors":' + b"[" * 5000 + b"]" * 5000, 1
             ),
         ],
@@ -325,7 +325,7 @@ class TestCache:
             good = path.read_bytes()
             bad = tamper(json.loads(good))
             if not isinstance(bad, bytes):
-                bad = cache.canonical_json_bytes(bad)
+                bad = canonical_json_bytes(bad)
             assert bad != good
             path.write_bytes(bad)
             cache.clear_memory_cache()
@@ -340,7 +340,7 @@ class TestCache:
     def test_one_byte_edit_recomputed(self, data):
         # one byte replaced, deleted or inserted anywhere in a cache file
         kb = cache.kernel_basis(4, 4, 6)
-        good = cache.canonical_json_bytes(kb.to_json_obj())
+        good = canonical_json_bytes(kb.to_json_obj())
         edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
         at = data.draw(st.integers(0, len(good) - (edit != "insert")))
         byte = bytes([data.draw(st.integers(0, 255))])
@@ -552,7 +552,7 @@ def _strata(draw):
 
 
 def _old_encoding(kb):
-    return cache.canonical_json_bytes(kb.to_json_obj())
+    return canonical_json_bytes(kb.to_json_obj())
 
 
 class TestKernelJson:

@@ -5,7 +5,7 @@ import pytest
 
 from semiinv import cache, cayley, witnesses
 from semiinv.boxpartitions import delta
-from semiinv.cache import canonical_json_bytes, kernel_basis_cached
+from semiinv.cache import kernel_basis_cached
 from semiinv.cayley import KernelBasis, SylvesterMismatchError, apply_D, kernel_basis
 from semiinv.monomials import SIPoly
 from semiinv.witnesses import (
@@ -18,7 +18,14 @@ from semiinv.witnesses import (
     triangulate,
 )
 
-from helpers import I1_TERMS, I2_TERMS, antilex_greater, dense_rank, run_capped
+from helpers import (
+    I1_TERMS,
+    I2_TERMS,
+    antilex_greater,
+    canonical_json_bytes,
+    dense_rank,
+    run_capped,
+)
 
 
 class TestTriangulate:
