@@ -1,3 +1,8 @@
+import pickle
+import weakref
+
+import pytest
+
 import semiinv
 
 # the package's public names; a change here is a deliberate API change
@@ -57,3 +62,80 @@ def test_public_api_is_pinned():
     assert sorted(semiinv.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(semiinv, name, None) is not None, name
+
+
+# each public record: its field names and a function that builds one
+RECORDS = {
+    "KernelBasis": (("n", "k", "m", "vectors"), lambda: semiinv.KernelBasis(2, 2, 2)),
+    "SparseIntMatrix": (
+        ("cols", "rows", "col_keys"),
+        lambda: semiinv.SparseIntMatrix(((1,), (1, 2)), {1: {0: 1, 1: 2}, 2: {1: 1}}),
+    ),
+    "ScanReport": (
+        ("family", "params", "checks", "witness", "coefficients_digest"),
+        lambda: semiinv.ScanReport("F", {"n": 2, "k": 2}, {"unimodal": False}, 1, "sha256:x"),
+    ),
+}
+
+
+def _values(record, fields):
+    return tuple(getattr(record, f) for f in fields)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_are_read_only(self, name):
+        fields, make = RECORDS[name]
+        record = make()
+        for field in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert _values(record, fields) == _values(make(), fields)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_repr_is_field_wise(self, name):
+        fields, make = RECORDS[name]
+        record = make()
+        shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
+        assert repr(record) == f"{name}({shown})"
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_pickle_round_trip(self, name):
+        # the process pool of a parallel scan pickles every report it returns
+        fields, make = RECORDS[name]
+        record = make()
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        assert _values(copy, fields) == _values(record, fields)
+
+    def test_constructors_and_defaults(self):
+        vectors = (semiinv.SIPoly.constant(2),)
+        kb = semiinv.KernelBasis(n=2, k=0, m=0, vectors=vectors)
+        assert _values(kb, RECORDS["KernelBasis"][0]) == (2, 0, 0, vectors)
+        assert semiinv.KernelBasis(2, 0, 0).vectors == ()
+        mat = semiinv.SparseIntMatrix(cols=(), rows={})
+        assert (mat.col_keys, mat.nrows, mat.ncols) == ((), 0, 0)
+        report = semiinv.ScanReport(
+            family="F", params={}, checks={"unimodal": True}, witness=None,
+            coefficients_digest="sha256:x",
+        )
+        assert report.passed and report.to_json_obj()["witness"] is None
+
+    def test_kernel_basis_is_weakly_referenced(self):
+        # witnesses memoises a triangle per basis under a weak reference
+        kb = semiinv.KernelBasis(2, 2, 2)
+        assert weakref.ref(kb)() is kb
+
+    @pytest.mark.parametrize("name", ["KernelBasis", "SparseIntMatrix"])
+    def test_bases_and_matrices_compare_by_identity(self, name):
+        a, b = RECORDS[name][1](), RECORDS[name][1]()
+        assert a == a and a != b
+        assert hash(a) != hash(b)
+
+    def test_reports_compare_by_value(self):
+        make = RECORDS["ScanReport"][1]
+        assert make() == make() == pickle.loads(pickle.dumps(make()))
+        assert make() != semiinv.ScanReport("F", {"n": 2, "k": 2}, {"unimodal": True},
+                                            None, "sha256:x")

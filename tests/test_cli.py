@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -783,19 +784,40 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "1 + q + 2q^2 + q^3 + q^4"
 
     def test_import_leaves_out_process_pool(self):
-        # a serial run never needs the pool, so start-up does not pay for it
+        # a serial run never needs the pool, and start-up needs neither typing,
+        # dataclasses nor fractions, with what they import; a site hook may
+        # load typing before user code runs, so those six count only when
+        # the import itself adds them
         src = os.path.dirname(os.path.dirname(os.path.abspath(semiinv.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = (
-            "import sys, semiinv, semiinv.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-            "if m in sys.modules])"
-        )
+        code = textwrap.dedent("""
+            import json, sys
+            before = set(sys.modules)
+            import semiinv, semiinv.cli
+            pool = ("multiprocessing", "concurrent.futures.process")
+            lazy = ("typing", "dataclasses", "inspect", "fractions", "decimal", "numbers")
+            out = {
+                "pool": [m for m in pool if m in sys.modules],
+                "added": [m for m in lazy if m in set(sys.modules) - before],
+            }
+            # the rationals still come out once fractions is imported on use
+            disc = semiinv.SIPoly(2, {(1, 0, 1): 1, (0, 2, 0): -1})
+            out["evaluate"] = type(disc.evaluate([1, 2, 3])).__name__
+            out["shear"] = [type(c).__name__ for c in semiinv.shear_coefficients([1, 2], 3)]
+            out["check"] = semiinv.shear_check(disc, 3, [1, 2, 5])
+            print(json.dumps(out))
+        """)
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "[]"
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "pool": [],
+            "added": [],
+            "evaluate": "Fraction",
+            "shear": ["Fraction", "Fraction"],
+            "check": True,
+        }

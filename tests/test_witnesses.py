@@ -198,10 +198,22 @@ class TestKernelTriangleGuard:
             build()
 
 
+def _added_triangles(stale):
+    """The bases in the triangle memo other than those in ``stale``.
+
+    A basis that an earlier failing test's traceback still holds keeps its
+    entry in the weak memo, so a test checks only the entries it adds; it
+    holds ``stale`` meanwhile, so no new basis can reuse a stale one's id.
+    """
+    ids = set(map(id, stale))
+    return [kb for kb in witnesses._triangle_memo.keys() if id(kb) not in ids]
+
+
 class TestTriangleMemo:
     def test_each_kernel_triangulated_once(self, monkeypatch, tmp_path, capsys):
         from semiinv import cli
 
+        stale = list(witnesses._triangle_memo.keys())
         calls = []
         real = witnesses.triangulate
 
@@ -222,7 +234,7 @@ class TestTriangleMemo:
                 KernelBasis(8, 8, 32, tri).to_json_obj()).decode()
         finally:
             cache.clear_memory_cache()
-        assert len(witnesses._triangle_memo) == 0 and cache._memory == {}
+        assert _added_triangles(stale) == [] and cache._memory == {}
         nr8_witnesses(8, 8)
         assert calls == [7, 7]
         cache.clear_memory_cache()
@@ -240,6 +252,7 @@ class TestMemoryBudget:
             yield cell, kernel_basis_cached(*cell).vectors, tri
 
     def test_small_budget_keeps_results_and_bounds_both_memos(self, monkeypatch):
+        stale = list(witnesses._triangle_memo.keys())
         cache.clear_memory_cache()
         try:
             expected = [(vectors, tri) for _, vectors, tri in self._ask()]
@@ -255,10 +268,10 @@ class TestMemoryBudget:
                 # within the budget, or holding only the entry just inserted
                 assert cache._memory_size <= budget + sizes[cell]
                 assert cache._memory_size <= budget or list(sizes) == [cell]
-                # every live triangle's basis is one the memo holds, and the
-                # triangle just asked for is kept with its basis
+                # every live triangle's basis added here is one the memo
+                # holds, and the triangle just asked for is kept with its basis
                 held = set(map(id, cache._memory.values()))
-                assert {id(kb) for kb in witnesses._triangle_memo.keys()} <= held
+                assert set(map(id, _added_triangles(stale))) <= held
                 assert witnesses._triangle_memo[cache._memory[cell]] is tri
             assert len(cache._memory) < len(set(self.CELLS))
         finally:
