@@ -36,8 +36,10 @@ reads the deltas of a run of weights from one vector, as one subtraction
 of the run from itself shifted by one.  The
 memo is filled iteratively, row by row (``k`` fixed, ``n`` rising), from
 the highest row already complete, so a box of any shape needs no recursion
-and the box one row up costs one row.  Its budget is a fixed number of
-stored coefficients: once a finished row leaves the memo past it,
+and the box one row up costs one row.  A vector that reads the same
+backwards, as every box count does, stores each mirrored pair of
+coefficients as one int object.  The budget is a fixed number of stored
+coefficients, not objects: once a finished row leaves the memo past it,
 everything is dropped but that row, which is all the next row reads, and
 the requested column ``(k', n)``, ``k' < k``.  Cells are exact big
 integers, and the memo never reads :mod:`semiinv.qpoly`, so the two stay
@@ -59,7 +61,10 @@ _COUNT_SIZE = 0
 _COUNT_BUDGET = 1 << 20
 
 
-def _check_box(k: int, n: int) -> None:
+def _check_box(k: int, n: int, m: int = 0) -> None:
+    # checked before any memo read, so a cold and a warm memo agree
+    if type(k) is not int or type(n) is not int or type(m) is not int:
+        raise TypeError(f"box ({k!r},{n!r}) and weight {m!r} must be ints")
     if k < 0 or n < 0:
         raise ValueError(f"box dimensions must be nonnegative, got ({k},{n})")
 
@@ -91,6 +96,11 @@ def _count_table(k: int, n: int) -> tuple[int, ...]:
                 # p(kk, nn, m) = p(kk, nn-1, m) + p(kk-1, nn, m-nn)
                 out = [*_COUNT_TABLES[kk, nn - 1], *(0,) * kk]
                 out[nn:] = map(operator.add, out[nn:], _COUNT_TABLES[kk - 1, nn])
+                # a row that reads the same backwards stores each mirrored pair once
+                h = len(out) // 2
+                head = out[:h][::-1]
+                if out[len(out) - h:] == head:
+                    out[len(out) - h:] = head
                 table = tuple(out)
             _COUNT_TABLES[kk, nn] = table
             _COUNT_SIZE += len(table)
@@ -111,7 +121,7 @@ def count_partitions_in_box(k: int, n: int, m: int) -> int:
 
     Returns 0 for ``m < 0`` and for ``m > n*k``.
     """
-    _check_box(k, n)
+    _check_box(k, n, m)
     if m < 0 or m > n * k:
         return 0
     return _count_table(k, n)[m]
@@ -119,7 +129,7 @@ def count_partitions_in_box(k: int, n: int, m: int) -> int:
 
 def delta(k: int, n: int, m: int) -> int:
     """p(k,n,m) - p(k,n,m-1); may be negative past the middle weight n*k/2."""
-    _check_box(k, n)
+    _check_box(k, n, m)
     top = n * k
     if not 0 <= m <= top + 1:
         return 0
@@ -158,7 +168,7 @@ def _stratum_keys(k: int, n: int, m: int) -> list[int]:
     the layout of :class:`~semiinv.monomials.SIPoly` at degree ``k``, so
     ascending keys are the basis order.
     """
-    _check_box(k, n)
+    _check_box(k, n, m)
     if not 0 <= m <= n * k:
         raise ValueError(f"weight {m} outside [0, {n * k}]")
     w = _width(k)

@@ -63,8 +63,8 @@ class VerificationError(RuntimeError):
 
 
 def coefficients_digest(p: QPoly) -> str:
-    # one C-level format call, with no string object per coefficient; "%s"
-    # is str() of each one, where "%d" would turn 1.5 into "1"
+    # one C-level format call, with no string object per coefficient; every
+    # coefficient of a QPoly is an int, so "%s" writes each one in decimal
     cs = p.coeffs
     data = (("%s," * len(cs))[:-1] % cs).encode()
     return "sha256:" + hashlib.sha256(data).hexdigest()

@@ -25,14 +25,17 @@ two is an independent cross-check.
 One memo, keyed by ``(c, i)`` and holding plain coefficient tuples, is
 shared by every call: ``gauss(a, b)`` walks down from ``j`` to the highest
 link of its chain already stored, extends the chain from there, and wraps
-the result in a :class:`QPoly` on the way out.  The memo's budget is a fixed
-number of stored coefficients.  A step that pushes it past the budget cuts
-it down to the highest link of every chain plus the entry in hand, so a
-later call that climbs one of those chains past its kept link resumes
-there rather than at ``i = 1``; if those links alone exceed the budget,
-only the entry in hand is kept.  Entries are exact and are only ever
-dropped, never altered, so results never depend on call order or
-eviction.
+the result in a :class:`QPoly` on the way out.  An entry that reads the
+same backwards, as every Gaussian coefficient does, stores each mirrored
+pair of coefficients as one int object.  The memo's budget is a fixed
+number of stored coefficients, not objects.  A step that pushes it past
+the budget cuts it down to the highest link of every chain plus the entry
+in hand, so a later call that climbs one of those chains past its kept
+link resumes there rather than at ``i = 1``; if those links alone exceed
+the budget, only the entry in hand is kept.  Entries are exact and are
+only ever dropped, never altered, and arguments that are not ints are
+refused before the memo is read, so results never depend on call order
+or eviction.
 
 The unimodality predicates operate on coefficient sequences.  A sequence is
 unimodal if it rises weakly and then falls weakly.  The strict variant used
@@ -54,7 +57,7 @@ from __future__ import annotations
 import operator
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, compress, count, islice, repeat
 
 NEG_INF = float("-inf")
 
@@ -83,7 +86,11 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs = _strip(tuple(coeffs))
+        cs = tuple(coeffs)
+        i = _first(map(operator.is_not, map(type, cs), repeat(int)))
+        if i is not None:
+            raise ValueError(f"coefficient {cs[i]!r} of q^{i} must be an int")
+        self.coeffs = _strip(cs)
 
     @classmethod
     def _wrap(cls, coeffs: tuple[int, ...]) -> "QPoly":
@@ -131,7 +138,7 @@ class QPoly:
         return QPoly(-c for c in self.coeffs)
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             return QPoly(c * other for c in self.coeffs)
         if not isinstance(other, QPoly):
             return NotImplemented
@@ -241,7 +248,13 @@ def _chain_step(prev: tuple[int, ...], c: int, i: int) -> tuple[int, ...]:
         raise ArithmeticError(
             f"(1 - q^{i}) does not divide the step to gauss({s}, {i})"
         )
-    return tuple(out[: d + 1])
+    del out[d + 1:]
+    # a result that reads the same backwards stores each mirrored pair once
+    h = len(out) // 2
+    head = out[:h][::-1]
+    if out[len(out) - h:] == head:
+        out[len(out) - h:] = head
+    return tuple(out)
 
 
 def gauss(a: int, b: int) -> QPoly:
@@ -259,6 +272,8 @@ def gauss(a: int, b: int) -> QPoly:
     1
     """
     global _MEMO_SIZE
+    if type(a) is not int or type(b) is not int:
+        raise TypeError(f"gauss({a!r},{b!r}): arguments must be ints")
     if a < 0 or b < 0:
         raise ValueError(f"gauss({a},{b}): arguments must be nonnegative")
     if b > a:

@@ -58,6 +58,16 @@ class TestCount:
                 with pytest.raises(ValueError, match=re.escape(message)):
                     fn(k, n, 0)
 
+    @pytest.mark.parametrize("fn", [count_partitions_in_box, delta, enumerate_partitions_in_box])
+    @pytest.mark.parametrize("args", [(2, 3.0, 3), (2.0, 3, 3), (2, 3, 3.0), (True, 3, 1), (2, 3, True)])
+    def test_non_int_arguments_rejected_on_cold_and_warm_memo(self, fn, args, monkeypatch):
+        for warm in (False, True):
+            _fresh_tables(monkeypatch, boxpartitions._COUNT_BUDGET)
+            if warm:
+                fn(2, 3, 3)
+            with pytest.raises(TypeError, match="must be ints"):
+                fn(*args)
+
     def test_symmetry(self):
         for k in range(7):
             for n in range(7):
@@ -99,6 +109,8 @@ def _stored(expected) -> int:
     """Coefficients stored, after checking the size and every table."""
     for (k, n), table in boxpartitions._COUNT_TABLES.items():
         assert table == expected(k, n), (k, n)
+        # each mirrored pair of coefficients is one int object
+        assert all(table[j] is table[-1 - j] for j in range(len(table) // 2)), (k, n)
     assert boxpartitions._COUNT_SIZE == sum(map(len, boxpartitions._COUNT_TABLES.values()))
     return boxpartitions._COUNT_SIZE
 
@@ -135,6 +147,12 @@ class TestCountBudget:
         assert count_partitions_in_box(40, 40, 800) == want
         assert _stored(gauss_table) <= 50 + _kept_lines(40, 40)
         assert delta(38, 40, 760) == gauss(78, 38).coefficient(760) - gauss(78, 38).coefficient(759)
+
+    def test_table_not_read_backwards_is_kept_as_computed(self, monkeypatch):
+        # a seeded row that does not read the same backwards feeds the next box
+        _fresh_tables(monkeypatch, boxpartitions._COUNT_BUDGET)
+        boxpartitions._COUNT_TABLES[1, 1] = (2, 1)
+        assert boxpartitions._count_table(1, 2) == (2, 1, 1)
 
     def test_neighbours_past_the_budget_are_cheap(self, monkeypatch):
         class Counting(dict):

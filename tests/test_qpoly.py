@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -75,6 +76,15 @@ class TestQPolyBasics:
         assert QPoly([1, 2]) * 3 == QPoly([3, 6])
         assert (QPoly([1, 2]) * QPoly()).is_zero()
 
+    def test_coefficients_and_scalars_must_be_ints(self):
+        for bad in (True, 1.5, Fraction(1, 2)):
+            with pytest.raises(ValueError, match=r"of q\^1 must be an int"):
+                QPoly([1, bad])
+        with pytest.raises(TypeError):
+            QPoly([1, 2]) * True
+        with pytest.raises(TypeError):
+            True * QPoly([1, 2])
+
     def test_str_rendering(self):
         assert str(gauss(4, 2)) == "1 + q + 2q^2 + q^3 + q^4"
         assert str(QPoly()) == "0"
@@ -118,6 +128,15 @@ class TestGauss:
                 gauss(a, b)
         assert gauss(10**20, 0) == gauss(10**20, 10**20) == QPoly([1])
 
+    def test_non_int_arguments_rejected_on_cold_and_warm_memo(self, monkeypatch):
+        for warm in (False, True):
+            _fresh_table(monkeypatch)
+            if warm:
+                gauss(4, 2)
+            for a, b in [(4.0, 2), (4, 2.0), (True, 1), (4, True)]:
+                with pytest.raises(TypeError, match="must be ints"):
+                    gauss(a, b)
+
     @pytest.mark.parametrize("a", range(1, 9))
     def test_pascal_recurrence(self, a):
         for b in range(1, a):
@@ -156,6 +175,8 @@ def _stored() -> int:
     """Coefficients in the memo, after checking the size and every entry."""
     for (c, i), coeffs in qpoly._MEMO.items():
         assert coeffs == tuple(_box_counts(i, c)), (c, i)
+        # each mirrored pair of coefficients is one int object
+        assert all(coeffs[j] is coeffs[-1 - j] for j in range(len(coeffs) // 2)), (c, i)
     assert qpoly._MEMO_SIZE == sum(map(len, qpoly._MEMO.values()))
     return qpoly._MEMO_SIZE
 
@@ -243,6 +264,8 @@ class TestPascalTable:
             qpoly._chain_step((1,), 1, 2)
         # (1 + q) (1 - q^3) is divisible by 1 - q^2
         assert qpoly._chain_step((1, 1), 1, 2) == (1, 1, 1)
+        # a result that does not read the same backwards is kept as computed
+        assert qpoly._chain_step((1, 2), 1, 1) == (1, 3, 2)
 
     def test_independent_of_box_counts(self, monkeypatch):
         want = gauss(30, 15)
