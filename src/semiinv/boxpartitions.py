@@ -30,13 +30,13 @@ Counting uses a two-dimensional recurrence over the box,
 (split on whether some part equals ``n``), memoized per ``(k, n)`` with
 the whole weight vector stored, since delta scans reuse the same boxes
 heavily.  Each vector is one slice addition of the shorter box's vector,
-shifted by ``n``, onto the narrower box's.  :func:`delta` at weight ``m``
-reads one vector once, of the box cut to ``m x m``, and ``_delta_row``
-reads the deltas of a run of weights from one vector, as one subtraction
-of the run from itself shifted by one.  The
-memo is filled iteratively, row by row (``k`` fixed, ``n`` rising), from
-the highest row already complete, so a box of any shape needs no recursion
-and the box one row up costs one row.  A vector that reads the same
+shifted by ``n``, onto the narrower box's.  ``_delta_row`` reads the
+deltas of a run of weights from one vector, as one subtraction of the run
+from itself shifted by one, and :func:`delta` at weight ``m`` is the last
+entry of the run up to ``m`` on the box cut to ``m x m``.  The memo is
+filled iteratively, row by row (``k`` fixed, ``n`` rising), from the
+highest row already complete, so a box of any shape needs no recursion and
+the box one row up costs one row.  A vector that reads the same
 backwards, as every box count does, stores each mirrored pair of
 coefficients as one int object.  The budget is a fixed number of stored
 coefficients, not objects: once a finished row leaves the memo past it,
@@ -130,12 +130,10 @@ def count_partitions_in_box(k: int, n: int, m: int) -> int:
 def delta(k: int, n: int, m: int) -> int:
     """p(k,n,m) - p(k,n,m-1); may be negative past the middle weight n*k/2."""
     _check_box(k, n, m)
-    top = n * k
-    if not 0 <= m <= top + 1:
+    if not 0 <= m <= n * k + 1:
         return 0
     # a partition of m or m - 1 has at most m parts, each at most m
-    table = _count_table(min(k, m), min(n, m))
-    return (table[m] if m <= top else 0) - (table[m - 1] if m else 0)
+    return _delta_row(min(k, m), min(n, m), m + 1)[m]
 
 
 def _delta_row(k: int, n: int, stop: int) -> tuple[int, ...]:
@@ -156,7 +154,9 @@ def enumerate_partitions_in_box(k: int, n: int, m: int) -> list[tuple[int, ...]]
 
     They come in basis order, descending anti-lexicographic on the associated
     monomials: ascending lexicographic order of ``(nu_n, nu_n-1, ..., nu_0)``.
-    The length of the result always equals ``count_partitions_in_box(k, n, m)``.
+    For ``0 <= m <= n*k`` the length of the result equals
+    ``count_partitions_in_box(k, n, m)``; any other weight raises
+    ``ValueError``, where the count is 0.
     """
     return list(_unpack(_stratum_keys(k, n, m), n, _width(k)))
 

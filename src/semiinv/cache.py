@@ -12,7 +12,8 @@ recomputed and rewritten, not trusted.
 
 The memory holds bases only.  Its budget is a fixed number of stored basis
 terms; an insert that pushes it past the budget clears the memo down to
-the entry in hand.  Entries are exact and are only ever dropped, so
+the entry in hand.  Entries are exact and are only ever dropped, and
+arguments that are not ints are refused before the memo is read, so
 results never depend on call order or eviction.
 
 Both the write and the byte check encode a basis with
@@ -32,7 +33,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .cayley import KernelBasis, _canonical, kernel_basis
+from .cayley import KernelBasis, _canonical, _check_ints, kernel_basis
 
 ENV_VAR = "SEMIINV_CACHE"
 
@@ -115,6 +116,7 @@ def kernel_basis_cached(
     n: int, k: int, m: int, cache_dir: str | os.PathLike | None = None
 ) -> KernelBasis:
     """Kernel basis for (n, k, m), via memo and disk cache when available."""
+    _check_ints(n, k, m)
     key = (n, k, m)
     kb = _memory.get(key)
     if kb is not None:

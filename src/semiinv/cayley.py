@@ -342,6 +342,13 @@ class KernelBasis(_Record):
         return kb
 
 
+def _check_ints(n: int, k: int, m: int) -> None:
+    # the kernel memo checks this before it is read, so a cold and a warm
+    # memo agree
+    if type(n) is not int or type(k) is not int or type(m) is not int:
+        raise TypeError(f"n={n!r}, k={k!r}, m={m!r}: arguments must be ints")
+
+
 def _eliminate(
     n: int, k: int, m: int
 ) -> tuple[tuple[int, ...], list[tuple[int, dict[int, int]]], list[int]]:
@@ -351,6 +358,7 @@ def _eliminate(
     At ``m == 0`` the stratum is the single monomial ``a_0^k``, which ``D``
     kills, so its one column is free and no matrix is built.
     """
+    _check_ints(n, k, m)
     if n < 0 or k < 0:
         raise ValueError(f"parameters must be nonnegative, got n={n}, k={k}")
     if not 0 <= m <= n * k:

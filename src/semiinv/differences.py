@@ -35,7 +35,6 @@ import os
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import partial
-from itertools import compress, count
 from operator import ne, sub
 from pathlib import Path
 
@@ -43,8 +42,9 @@ from .boxpartitions import _delta_row
 from .monomials import _Record
 from .qpoly import (
     QPoly,
+    _combine,
+    _first,
     _strictness_break,
-    _sub_shifted,
     _unimodality_break,
     first_negative_index,
     gauss,
@@ -127,7 +127,7 @@ def G(n: int, k: int, r: int) -> QPoly:
         raise ValueError(f"need n >= 1, got {n}")
     if (n * r) % 2:
         raise ValueError(f"n*r must be even, got n={n}, r={r}")
-    return _sub_shifted(gauss(n + k, k), gauss(n + k - r, k - r), n * r // 2)
+    return _combine(sub, gauss(n + k, k), gauss(n + k - r, k - r), n * r // 2)
 
 
 def strange(n: int, k: int, r: int) -> QPoly:
@@ -145,7 +145,7 @@ def strange(n: int, k: int, r: int) -> QPoly:
         raise ValueError(
             f"parameters outside the stated range: n={n} < {2 * r * k - 4 * r + 3}"
         )
-    return _sub_shifted(gauss(n - 1, k), gauss(n - 1 + 4 * (r - 1), k - 2), shift)
+    return _combine(sub, gauss(n - 1, k), gauss(n - 1 + 4 * (r - 1), k - 2), shift)
 
 
 def stanley_zanello(k: int, m: int, b: int) -> QPoly:
@@ -164,7 +164,7 @@ def stanley_zanello(k: int, m: int, b: int) -> QPoly:
     e = num // 2 + b - 2 * k + 2
     if e < 0:
         raise ValueError(f"exponent {e} is negative")
-    return _sub_shifted(gauss(m, k), gauss(b, k - 2), e)
+    return _combine(sub, gauss(m, k), gauss(b, k - 2), e)
 
 
 def bergeron(a: int, b: int, c: int, d: int) -> QPoly:
@@ -224,7 +224,7 @@ def _delta_identity_break(poly: QPoly, n: int, k: int) -> int | None:
     cs += (0,) * (size - len(cs))
     # delta(k-2, n, m-n) is 0 for m < n
     rhs = map(sub, _delta_row(k, n, size), (0,) * n + _delta_row(k - 2, n, size - n))
-    return next(compress(count(), map(ne, map(sub, cs, (0,) + cs), rhs)), None)
+    return _first(map(ne, map(sub, cs, (0,) + cs), rhs))
 
 
 def _cell(suite: _Suite, params: tuple[int, ...]) -> ScanReport:

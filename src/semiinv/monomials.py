@@ -333,11 +333,6 @@ class SIPoly:
         # nu_n sits in the top slot, so the least key is the greatest monomial
         return next(_unpack([min(self._terms)], self.n, _width(self._deg)))
 
-    def leading_coefficient(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self._terms[min(self._terms)]
-
     def bidegree(self) -> tuple[int, int]:
         """(degree, weight) of a homogeneous polynomial; error if mixed."""
         if not self._terms:

@@ -3,11 +3,11 @@
 A polynomial is stored densely: index ``i`` of :attr:`QPoly.coeffs` holds the
 (arbitrary-precision) integer coefficient of ``q**i``.  Canonical form never
 stores a trailing zero, so the zero polynomial stores nothing at all and has
-degree ``-inf``.  Sums and differences map ``operator.add``/``operator.sub``
-over the two tuples zero-padded to one length and strip the trailing zeros
-once; a shift and a ``gauss`` result wrap a tuple that is already canonical,
-with no copy.  The difference families' ``a - q**s * b`` is one pass that
-subtracts ``b`` into a copy of ``a`` at offset ``s``.
+degree ``-inf``.  Sums, differences and the difference families'
+``a - q**s * b`` share one pass, which combines ``b`` into a copy of ``a``
+at offset ``s`` (0 for a plain sum or difference) and strips the trailing
+zeros once; a shift and a ``gauss`` result wrap a tuple that is already
+canonical, with no copy.
 
 The Gaussian coefficient ``gauss(a, b)`` is built by the product formula.
 With ``j = min(b, a - b)`` and ``c = a - j`` it is the last link of the chain
@@ -125,14 +125,11 @@ class QPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __add__(self, other: "QPoly") -> "QPoly":
-        return _padded_map(operator.add, self.coeffs, other.coeffs)
+        return _combine(operator.add, self, other, 0)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        return _padded_map(operator.sub, self.coeffs, other.coeffs)
+        return _combine(operator.sub, self, other, 0)
 
     def __neg__(self) -> "QPoly":
         return QPoly(-c for c in self.coeffs)
@@ -197,17 +194,11 @@ def _strip(cs: tuple[int, ...]) -> tuple[int, ...]:
     return cs[: len(cs) - zeros] if zeros else cs
 
 
-def _padded_map(op, a: tuple[int, ...], b: tuple[int, ...]) -> QPoly:
-    """``op`` applied coefficientwise to ``a`` and ``b`` padded to one length."""
-    n = max(len(a), len(b))
-    cs = tuple(map(op, a + (0,) * (n - len(a)), b + (0,) * (n - len(b))))
-    return QPoly._wrap(_strip(cs))
-
-
-def _sub_shifted(a: QPoly, b: QPoly, s: int) -> QPoly:
-    """``a - b.shift(s)`` in one pass: ``b``'s coefficients are subtracted
-    into a copy of ``a``'s at offset ``s``, with no shifted or padded copy
-    of ``b`` (``s`` must be nonnegative)."""
+def _combine(op, a: QPoly, b: QPoly, s: int) -> QPoly:
+    """``op(a, b.shift(s))`` for ``op`` ``operator.add`` or ``operator.sub``,
+    in one pass: ``b``'s coefficients are combined into a copy of ``a``'s at
+    offset ``s``, with no shifted or padded copy of ``b`` (``s`` must be
+    nonnegative)."""
     bc = b.coeffs
     if not bc:
         return a
@@ -215,7 +206,7 @@ def _sub_shifted(a: QPoly, b: QPoly, s: int) -> QPoly:
     end = s + len(bc)
     if end > len(cs):
         cs += [0] * (end - len(cs))
-    cs[s:end] = map(operator.sub, cs[s:end], bc)
+    cs[s:end] = map(op, cs[s:end], bc)
     return QPoly._wrap(_strip(tuple(cs)))
 
 

@@ -236,7 +236,7 @@ class TestKernel:
             for c in ints:
                 g = gcd(g, c.numerator)
             assert g == 1
-            assert v.leading_coefficient() > 0
+            assert v.coefficient(v.leading_nu()) > 0
 
     def test_json_round_trip(self):
         kb = kernel_basis(4, 4, 6)

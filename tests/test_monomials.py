@@ -161,7 +161,7 @@ class TestSIPoly:
         i2 = SIPoly(4, I2_TERMS)
         assert i1.leading_nu() == (0, 2, 2, 0, 0)
         assert i2.leading_nu() == (1, 0, 3, 0, 0)
-        assert i1.leading_coefficient() == 3
+        assert i1.coefficient(i1.leading_nu()) == 3
 
     def test_leading_term_of_single_monomial(self):
         p = SIPoly.term(3, (1, 0, 2, 0), 5)
@@ -266,7 +266,7 @@ class TestSIPoly:
         p = SIPoly(2, {(1, 2, 0): -6, (0, 0, 1): 4})
         prim = p.primitive()
         # a0*a1^2 is the leading monomial, so its coefficient turns positive
-        assert prim.leading_coefficient() == 3
+        assert prim.coefficient(prim.leading_nu()) == 3
         assert prim.coefficient((0, 0, 1)) == -2
         # an integer rescaling of p has the same primitive form
         assert p.scale(-35).primitive() == prim

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -56,6 +57,10 @@ class TestQPolyBasics:
         assert QPoly().degree == float("-inf")
         assert QPoly([5]).degree == 0
         assert QPoly([0, 0, 1]).degree == 2
+
+    def test_truth_is_nonzero(self):
+        assert bool(QPoly()) is False
+        assert bool(QPoly([0, 2])) is True
 
     def test_shift(self):
         assert QPoly([1, 1]).shift(2) == QPoly([0, 0, 1, 1])
@@ -431,6 +436,9 @@ class TestScansMatchLoops:
     @example([0, 0, 5], [5], 2)  # everything cancels
     def test_sub_shifted(self, a, b, s):
         p, q = QPoly(a), QPoly(b)
-        got = qpoly._sub_shifted(p, q, s)
-        assert got == p - q.shift(s)
-        assert not got.coeffs or got.coeffs[-1] != 0
+        shifted = loop_shift(q.coeffs, s)
+        for op, loop, want in [(operator.sub, loop_sub, p - q.shift(s)),
+                               (operator.add, loop_add, p + q.shift(s))]:
+            got = qpoly._combine(op, p, q, s)
+            # the operators run through the helper too, so the loop is the oracle
+            assert got == want and got.coeffs == loop(p.coeffs, shifted)

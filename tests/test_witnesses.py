@@ -279,6 +279,28 @@ class TestMemoryBudget:
         assert cache._memory_size == 0
 
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: kernel_basis_cached(4.0, 4, 6), lambda: kernel_basis_cached(4, 4.0, 6),
+         lambda: kernel_basis_cached(4, 4, 6.0), lambda: kernel_basis_cached(True, 2, 1),
+         lambda: kernel_basis_cached(1, 2, True), lambda: nr8_witnesses(8.0, 8),
+         lambda: cayley.semiinvariant_dim(4.0, 4, 6), lambda: kernel_basis(4, 4, 6.0)],
+        ids=["n-float", "k-float", "m-float", "n-bool", "m-bool", "nr8-float",
+             "dim-float", "basis-float"],
+    )
+    def test_non_int_arguments_rejected_on_cold_and_warm_memo(self, call):
+        try:
+            for warm in (False, True):
+                cache.clear_memory_cache()
+                if warm:
+                    for cell in [(4, 4, 6), (1, 2, 1), (8, 8, 32)]:
+                        kernel_basis_cached(*cell)
+                with pytest.raises(TypeError, match="^n=.*, k=.*, m=.*: arguments must be ints"):
+                    call()
+        finally:
+            cache.clear_memory_cache()
+
+
 class TestWitnessGoldens:
     # sha256 of each family's canonical JSON, the first three recorded with
     # tuple-keyed, Fraction-valued SIPoly arithmetic; the last two pin the
