@@ -139,8 +139,8 @@ def delta(k: int, n: int, m: int) -> int:
 def _delta_row(k: int, n: int, stop: int) -> tuple[int, ...]:
     """``delta(k, n, m)`` for ``m`` in ``range(stop)``, from one table read.
 
-    Past the box it gives what :func:`delta` gives: ``-p(k, n, n*k)`` at
-    ``m = n*k + 1`` and 0 after.
+    Past the box it gives ``-p(k, n, n*k)`` at ``m = n*k + 1`` and 0
+    after; :func:`delta` reads its past-the-box values here.
     """
     _check_box(k, n)
     # p(k, n, m) for m < stop, then the same run shifted up by one weight

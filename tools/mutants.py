@@ -1,6 +1,6 @@
 """Check that the test suite still kills a fixed table of mutants.
 
-Run from the repository root, with no arguments:
+Run with no arguments:
 
     python3 tools/mutants.py
 
@@ -21,7 +21,7 @@ exactly once), in which case nothing is run.
 
 A change that backs a test with a mutant adds the mutant to ``MUTANTS``.
 The tool is not part of the tier-1 suite: it runs one pytest session per
-mutant, a few minutes in all.
+mutant (about 20 s for the table below on a 2-vCPU machine).
 """
 
 from __future__ import annotations
