@@ -41,7 +41,9 @@ mathematical possibility.
 
 Three checks certify a family of semi-invariants from :func:`apply_D`,
 ``delta`` and packed keys alone, with no elimination: :func:`_in_kernel`,
-:func:`_distinct_leads` and :func:`_canonical`.
+:func:`_distinct_leads` and :func:`_canonical`.  The first two take
+products, sequences of factors checked without expanding them, and a
+vector is the product of one factor.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from collections.abc import Sequence
 from math import comb, factorial, gcd, lcm
 
 from .boxpartitions import _stratum_keys, delta
-from .monomials import SIPoly, _nonzero, _Record, _width
+from .monomials import SIPoly, _nonzero, _Record, _repack, _width
 
 
 class SylvesterMismatchError(RuntimeError):
@@ -86,23 +88,33 @@ def apply_D(p: SIPoly) -> SIPoly:
     return p._wrap(_nonzero(out))
 
 
-def _in_kernel(n: int, k: int, m: int, vs: Sequence[SIPoly]) -> bool:
-    """Every vector is a nonzero polynomial in ``a_0..a_n`` of degree ``k``
-    and weight ``m`` in every term, annihilated by D."""
+def _in_kernel(n: int, k: int, m: int, products: Sequence[Sequence[SIPoly]]) -> bool:
+    """Every product of factors (a vector is one factor, the constant 1 is
+    none) lies in ``a_0..a_n``, has degree ``k`` and weight ``m``
+    in every term, and D kills it: each distinct factor is nonzero,
+    homogeneous, in ``a_0..a_n`` and killed by D, a derivation, and the
+    factors' bidegrees sum to ``(k, m)``."""
+    factors = {id(f): f for p in products for f in p}  # each checked once
     try:
-        return all(
-            v.n == n and v.bidegree() == (k, m) and apply_D(v).is_zero() for v in vs
-        )
-    except ValueError:  # bidegree of a zero vector or of a mixed one
+        bideg = {i: f.bidegree() for i, f in factors.items()}
+    except ValueError:  # a zero factor or a mixed one
         return False
+    return all(
+        tuple(map(sum, zip((0, 0), *[bideg[id(f)] for f in p]))) == (k, m) for p in products
+    ) and all(f.n == n and apply_D(f).is_zero() for f in factors.values())
 
 
-def _distinct_leads(vs: Sequence[SIPoly]) -> bool:
-    """The leads (least keys) strictly increase, read at the width of the
-    family's largest degree bound; a zero vector has no lead and fails."""
-    deg = max((v._deg for v in vs), default=0)
-    leads = [min(v._rekey(deg)._terms, default=None) for v in vs]
-    return None not in leads and all(a < b for a, b in zip(leads, leads[1:]))
+def _distinct_leads(products: Sequence[Sequence[SIPoly]]) -> bool:
+    """The products' leads (least keys) strictly increase, read at the width
+    of the largest product's degree bound.  A lead is the sum of the factors'
+    least keys (the order is multiplicative), each read at its factor's own
+    width and re-encoded alone; a zero factor has no lead and fails."""
+    if not all(f._terms for p in products for f in p):
+        return False
+    w = _width(max((sum(f._deg for f in p) for p in products), default=0))
+    leads = [sum(min(_repack({min(f._terms): 0}, f.n, _width(f._deg), w)) for f in p)
+             for p in products]
+    return all(a < b for a, b in zip(leads, leads[1:]))
 
 
 def _canonical(n: int, k: int, m: int, vs: Sequence[SIPoly]) -> bool:
@@ -323,7 +335,7 @@ class KernelBasis(_Record):
 
     def verify(self) -> bool:
         """Whether the vectors pass :func:`_in_kernel` on this stratum."""
-        return _in_kernel(self.n, self.k, self.m, self.vectors)
+        return _in_kernel(self.n, self.k, self.m, [(v,) for v in self.vectors])
 
     def _json_header(self) -> dict:
         """The fields that precede ``"vectors"``, in file order."""

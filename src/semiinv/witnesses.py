@@ -5,10 +5,11 @@ decreasing leading terms under the anti-lexicographic order (same span).
 Every witness here is built from two steps: the kernel triangle of one
 stratum (its triangulated kernel basis, which must hold as many vectors as
 the dimension bound promises) and :func:`lemma_combine`, the staircase
-products of two families that pass :func:`~semiinv.cayley._distinct_leads`,
-whose leads stay distinct as the order is multiplicative.  A triangle is
-computed once per basis object and memoized under a weak reference to it,
-so the cache's eviction drops it, and a basis loaded again is a new object.
+products of two triangulated families, checked once as factor pairs by
+:func:`~semiinv.cayley._distinct_leads` and expanded only at the end.  A
+triangle is computed once per basis object and memoized under a weak
+reference to it, so the cache's eviction drops it, and a basis loaded
+again is a new object.
 
 * :func:`nr8_witnesses` produces two independent semi-invariants of degree
   ``r`` and weight ``n*r/2`` for any ``n, r >= 8`` with ``n*r`` even: the
@@ -99,18 +100,17 @@ def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
 
     For bases of sizes ``t1`` and ``t2`` over the same form degree, returns
     the ``t1 + t2 - 1`` products ``b1[0]*b2[j]`` for every ``j`` followed by
-    ``b1[i]*b2[-1]`` for ``i >= 1``.  Their leading terms strictly decrease
-    along the staircase by multiplicativity of the order, so the products
-    are linearly independent; degrees and weights add.
+    ``b1[i]*b2[-1]`` for ``i >= 1``.  Their leads, the sums of their factors'
+    (the order is multiplicative), strictly decrease exactly when both
+    bases' do, so the products are independent; degrees and weights add.
     """
     if not b1 or not b2:
         raise ValueError("both bases must be nonempty")
     _common_n(list(b1) + list(b2))
-    if not _distinct_leads(b1) or not _distinct_leads(b2):
+    pairs = [(b1[0], w) for w in b2] + [(v, b2[-1]) for v in b1[1:]]
+    if not _distinct_leads(pairs):
         raise ValueError("inputs must be triangulated (strictly decreasing leads)")
-    out = [(b1[0] * w).primitive() for w in b2]
-    out.extend((v * b2[-1]).primitive() for v in b1[1:])
-    return out
+    return [(a * b).primitive() for a, b in pairs]
 
 
 def _triangle(

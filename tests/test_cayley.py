@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, prod
 
 import pytest
@@ -269,6 +270,12 @@ STRATA = [
     (n, k, m, delta(k, n, m)) for n in range(7) for k in range(7) for m in range(n * k // 2 + 1)
 ]
 TAMPERS = ["scaled", "swapped", "dropped", "stray-monomial", "other-stratum"]
+PRODUCT_TAMPERS = ["other-stratum", "stray-monomial", "equal-leads", "zero", "other-n"]
+
+
+@lru_cache(maxsize=None)
+def _triangle(n, k, m):
+    return tuple(triangulate(kernel_basis(n, k, m).vectors))
 
 
 class TestCertify:
@@ -277,8 +284,8 @@ class TestCertify:
     def test_computed_bases_pass(self):
         for n, k, m, _ in STRATA:
             vs = kernel_basis(n, k, m).vectors
-            assert _in_kernel(n, k, m, vs) and _canonical(n, k, m, vs), (n, k, m)
-            assert _distinct_leads(triangulate(vs)), (n, k, m)
+            assert _in_kernel(n, k, m, [(v,) for v in vs]) and _canonical(n, k, m, vs), (n, k, m)
+            assert _distinct_leads([(v,) for v in triangulate(vs)]), (n, k, m)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -307,10 +314,52 @@ class TestCertify:
             ]))
             vs[i] = kernel_basis(n, k2, m2).vectors[0]
         if tamper in ("stray-monomial", "other-stratum"):
-            assert not _in_kernel(n, k, m, vs)
+            assert not _in_kernel(n, k, m, [(v,) for v in vs])
         else:
-            assert _in_kernel(n, k, m, vs)
+            assert _in_kernel(n, k, m, [(v,) for v in vs])
             assert not _canonical(n, k, m, vs)
+
+
+    @pytest.mark.parametrize("tamper", PRODUCT_TAMPERS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_product_tamper_rejected_by_its_check(self, tamper, data):
+        # the factor pairs of a staircase of two triangles, as lemma_combine
+        # checks them, pass both checks; one tampered factor or a repeated
+        # pair fails the check named for it
+        n = data.draw(st.integers(2, 6))
+        strata = [s[1:3] for s in STRATA if s[0] == n and s[3]]
+        if tamper == "stray-monomial":
+            # D kills a_0^k, the one monomial of weight 0
+            strata = [(k, m) for k, m in strata if m]
+        (k1, m1), (k2, m2) = data.draw(st.lists(st.sampled_from(strata), min_size=2, max_size=2))
+        b1, b2 = _triangle(n, k1, m1), _triangle(n, k2, m2)
+        pairs = [(b1[0], w) for w in b2] + [(v, b2[-1]) for v in b1[1:]]
+        k, m = k1 + k2, m1 + m2
+        assert _in_kernel(n, k, m, pairs) and _distinct_leads(pairs)
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        if tamper == "equal-leads":
+            pairs.insert(i + data.draw(st.integers(0, 1)), pairs[i])
+            assert _in_kernel(n, k, m, pairs) and not _distinct_leads(pairs)
+            return
+        j = data.draw(st.integers(0, 1))
+        f = pairs[i][j]
+        if tamper == "other-stratum":
+            other = data.draw(st.sampled_from([s for s in strata if s != f.bidegree()]))
+            g = _triangle(n, *other)[0]
+        elif tamper == "stray-monomial":
+            fk, fm = f.bidegree()
+            nu = data.draw(st.sampled_from(enumerate_partitions_in_box(fk, n, fm)))
+            g = f + SIPoly.term(n, nu, data.draw(st.integers(1, 3)))
+        elif tamper == "zero":
+            g = SIPoly.zero(n)
+        else:
+            # the same polynomial in a_0..a_{n+1}: homogeneous and killed by D
+            g = SIPoly(n + 1, {(*nu, 0): c for nu, c in f.items()})
+        pairs[i] = (g, pairs[i][1]) if j == 0 else (pairs[i][0], g)
+        assert not _in_kernel(n, k, m, pairs)
+        if tamper == "zero":
+            assert not _distinct_leads(pairs)
 
 
 def _primitive_int_vector(x):

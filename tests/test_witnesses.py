@@ -1,12 +1,22 @@
 import hashlib
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiinv import cache, cayley, witnesses
 from semiinv.boxpartitions import delta
 from semiinv.cache import kernel_basis_cached
-from semiinv.cayley import KernelBasis, SylvesterMismatchError, apply_D, kernel_basis
+from semiinv.cayley import (
+    KernelBasis,
+    SylvesterMismatchError,
+    _distinct_leads,
+    _in_kernel,
+    apply_D,
+    kernel_basis,
+)
 from semiinv.monomials import SIPoly
 from semiinv.witnesses import (
     DependenceError,
@@ -422,17 +432,69 @@ class TestCertifyWithoutElimination:
             cache.clear_memory_cache()
 
 
+# (n, k, m) of every stratum with n, k <= 6, m <= nk/2 and a nonzero kernel
+KERNEL_STRATA = [
+    (n, k, m) for n in range(7) for k in range(7) for m in range(n * k // 2 + 1)
+    if delta(k, n, m)
+]
+
+
+class TestCertifyByFactors:
+    def test_witness_warm_certified_by_factors(self, monkeypatch, tmp_path):
+        # nr8_witnesses(8, 16) and strict_witnesses(8, k, 8, 4k), k = 12..14:
+        # 13 staircase products of the (8, 8, 32) pair J and the triangles of
+        # (8, k - 8, 4k - 32), certified by their factors with no elimination
+        inner_strata = {k: (k - 8, 4 * k - 32) for k in (12, 13, 14)}
+        cache.clear_memory_cache()
+        try:
+            for k, m in [(8, 32), *inner_strata.values()]:
+                kernel_basis_cached(8, k, m, tmp_path)
+            cache.clear_memory_cache()
+
+            def eliminate(*args, **kwargs):
+                raise AssertionError("certification eliminated")
+
+            monkeypatch.setattr(cayley, "build_D_matrix", eliminate)
+            monkeypatch.setattr(cayley, "_echelon", eliminate)
+            j1, j2 = witnesses._triangle(8, 8, 32, 2, tmp_path)[:2]
+            families = [((8, 16, 64), [(j1, j1), (j1, j2)], nr8_witnesses(8, 16, tmp_path))]
+            for k, (ki, mi) in inner_strata.items():
+                inner = witnesses._triangle(8, ki, mi, delta(ki, 8, mi), tmp_path)
+                pairs = [(j1, v) for v in inner] + [(j2, inner[-1])]
+                families.append(((8, k, 4 * k), pairs, strict_witnesses(8, k, 8, 4 * k, tmp_path)))
+            assert sum(len(ws) for _, _, ws in families) == 13
+            for (n, k, m), pairs, ws in families:
+                assert _in_kernel(n, k, m, pairs) and _distinct_leads(pairs)
+                # the expansions lemma_combine returns, checked by apply_D
+                assert list(ws) == [(a * b).primitive() for a, b in pairs]
+                assert all(w.bidegree() == (k, m) and apply_D(w).is_zero() for w in ws)
+        finally:
+            cache.clear_memory_cache()
+
+
 class TestRingClosure:
-    def test_products_of_kernel_vectors_stay_in_kernel(self):
-        pools = [
-            triangulate(kernel_basis(4, 2, 4).vectors),
-            triangulate(kernel_basis(4, 4, 6).vectors),
-            triangulate(kernel_basis(4, 3, 4).vectors),
-        ]
-        rng = random.Random(161)
-        flat = [v for pool in pools for v in pool]
-        for _ in range(12):
-            u = rng.choice(flat)
-            v = rng.choice(flat)
-            assert apply_D(u * v).is_zero()
-            assert apply_D(u + v.scale(rng.randint(1, 5))).is_zero() or u.n != v.n
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_products_of_kernel_vectors_stay_in_kernel(self, data):
+        # 1-3 triangle vectors of one form degree, certified as a product
+        # and as its expansion
+        n = data.draw(st.integers(0, 6))
+        strata = data.draw(st.lists(
+            st.sampled_from([s for s in KERNEL_STRATA if s[0] == n]), min_size=1, max_size=3))
+        factors = []
+        for s in strata:
+            tri = triangulate(kernel_basis(*s).vectors)
+            factors.append(tri[data.draw(st.integers(0, len(tri) - 1))])
+        product = prod(factors)
+        k, m = (sum(s[i] for s in strata) for i in (1, 2))
+        assert product.bidegree() == (k, m)
+        assert apply_D(product).is_zero()
+        for km in ((k, m), (k, m + 1), (k + 1, m)):
+            verdict = _in_kernel(n, *km, [factors])
+            assert verdict == _in_kernel(n, *km, [(product,)]) == (km == (k, m))
+        # the lead sum is the expansion's least key, at the expansion's width
+        assert min(product._terms) == sum(min(f._rekey(product._deg)._terms) for f in factors)
+        assert not _distinct_leads([factors, (product,)])
+        assert not _distinct_leads([(product,), factors])
+        u, v = factors[0], factors[-1]
+        assert apply_D(u + v.scale(data.draw(st.integers(1, 5)))).is_zero()

@@ -21,7 +21,7 @@ exactly once), in which case nothing is run.
 
 A change that backs a test with a mutant adds the mutant to ``MUTANTS``.
 The tool is not part of the tier-1 suite: it runs one pytest session per
-mutant (about 20 s for the table below on a 2-vCPU machine).
+mutant (about 30 s for the table below on a 2-vCPU machine).
 """
 
 from __future__ import annotations
@@ -102,6 +102,33 @@ MUTANTS = [
            "return {}",
            "return terms",
            (_MONO + "TestSIPoly::test_add_cancel",)),
+    # delta fills the whole box instead of cutting it to the weight
+    Mutant("src/semiinv/boxpartitions.py",
+           "_delta_row(min(k, m), min(n, m), m + 1)[m]",
+           "_delta_row(k, n, m + 1)[m]",
+           (_BOX + "TestDelta::test_long_box_at_small_weight",)),
+    # a square counts its diagonal terms twice
+    Mutant("src/semiinv/monomials.py",
+           "acc[key] = get(key, 0) + c1 * c1",
+           "acc[key] = get(key, 0) + 2 * c1 * c1",
+           (_MONO + "TestPackedKeysAgainstReference::test_arithmetic_and_canonical_forms",)),
+    # a factor's lead read at its own width, not the products' common one
+    Mutant("src/semiinv/cayley.py",
+           "_repack({min(f._terms): 0}, f.n, _width(f._deg), w)",
+           "_repack({min(f._terms): 0}, f.n, _width(f._deg), _width(f._deg))",
+           (_WIT + "TestMixedDegreeBounds::test_lemma_combine_accepts_decreasing_leads",
+            _WIT + "TestMixedDegreeBounds::test_lemma_combine_rejects_increasing_leads")),
+    # a product's bidegree taken as its factors' largest, not their sum
+    Mutant("src/semiinv/cayley.py",
+           "tuple(map(sum, zip(",
+           "tuple(map(max, zip(",
+           (_CAYLEY + "TestCertify::test_product_tamper_rejected_by_its_check[other-stratum]",)),
+    # a product's bidegree never compared with the stratum
+    Mutant("src/semiinv/cayley.py",
+           ") == (k, m) for p in products",
+           ") is not None for p in products",
+           (_CAYLEY + "TestCertify::test_product_tamper_rejected_by_its_check[other-stratum]",
+            _CAYLEY + "TestKernel::test_verify_rejects_vectors_of_another_stratum")),
 ]
 
 
