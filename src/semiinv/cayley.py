@@ -89,18 +89,18 @@ def apply_D(p: SIPoly) -> SIPoly:
 
 
 def _in_kernel(n: int, k: int, m: int, products: Sequence[Sequence[SIPoly]]) -> bool:
-    """Every product of factors (a vector is one factor, the constant 1 is
-    none) lies in ``a_0..a_n``, has degree ``k`` and weight ``m``
-    in every term, and D kills it: each distinct factor is nonzero,
-    homogeneous, in ``a_0..a_n`` and killed by D, a derivation, and the
-    factors' bidegrees sum to ``(k, m)``."""
+    """Every product (a sequence of factors; a vector is one) lies in
+    ``a_0..a_n``, has degree ``k`` and weight ``m`` in every term, and D, a
+    derivation, kills it: each distinct factor is nonzero, homogeneous, in
+    ``a_0..a_n`` and killed by D, and the bidegrees sum to ``(k, m)``."""
     factors = {id(f): f for p in products for f in p}  # each checked once
     try:
         bideg = {i: f.bidegree() for i, f in factors.items()}
     except ValueError:  # a zero factor or a mixed one
         return False
     return all(
-        tuple(map(sum, zip((0, 0), *[bideg[id(f)] for f in p]))) == (k, m) for p in products
+        sum(bideg[id(f)][0] for f in p) == k and sum(bideg[id(f)][1] for f in p) == m
+        for p in products
     ) and all(f.n == n and apply_D(f).is_zero() for f in factors.values())
 
 

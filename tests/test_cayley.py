@@ -319,7 +319,6 @@ class TestCertify:
             assert _in_kernel(n, k, m, [(v,) for v in vs])
             assert not _canonical(n, k, m, vs)
 
-
     @pytest.mark.parametrize("tamper", PRODUCT_TAMPERS)
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -339,7 +338,7 @@ class TestCertify:
         assert _in_kernel(n, k, m, pairs) and _distinct_leads(pairs)
         i = data.draw(st.integers(0, len(pairs) - 1))
         if tamper == "equal-leads":
-            pairs.insert(i + data.draw(st.integers(0, 1)), pairs[i])
+            pairs.insert(i, pairs[i])
             assert _in_kernel(n, k, m, pairs) and not _distinct_leads(pairs)
             return
         j = data.draw(st.integers(0, 1))

@@ -431,15 +431,6 @@ class TestCertifyWithoutElimination:
         finally:
             cache.clear_memory_cache()
 
-
-# (n, k, m) of every stratum with n, k <= 6, m <= nk/2 and a nonzero kernel
-KERNEL_STRATA = [
-    (n, k, m) for n in range(7) for k in range(7) for m in range(n * k // 2 + 1)
-    if delta(k, n, m)
-]
-
-
-class TestCertifyByFactors:
     def test_witness_warm_certified_by_factors(self, monkeypatch, tmp_path):
         # nr8_witnesses(8, 16) and strict_witnesses(8, k, 8, 4k), k = 12..14:
         # 13 staircase products of the (8, 8, 32) pair J and the triangles of
@@ -470,6 +461,13 @@ class TestCertifyByFactors:
                 assert all(w.bidegree() == (k, m) and apply_D(w).is_zero() for w in ws)
         finally:
             cache.clear_memory_cache()
+
+
+# (n, k, m) of every stratum with n, k <= 6, m <= nk/2 and a nonzero kernel
+KERNEL_STRATA = [
+    (n, k, m) for n in range(7) for k in range(7) for m in range(n * k // 2 + 1)
+    if delta(k, n, m)
+]
 
 
 class TestRingClosure:
