@@ -48,6 +48,12 @@ class TestCount:
         assert count_partitions_in_box(1100, 2, 10) == 6
         assert count_partitions_in_box(2, 1100, 10) == 6
 
+    def test_thin_box_at_small_weight(self):
+        # a side no longer than the weight cuts the other one to the weight
+        proc = run_capped("-c", "from semiinv.boxpartitions import count_partitions_in_box as p; "
+                          "print(p(1, 10**5, 1), p(10**5, 1, 1))")
+        assert (proc.returncode, proc.stdout) == (0, "1 1\n"), proc.stderr
+
     def test_negative_box_rejected(self):
         # the count, delta, the delta row and the walk each check the box,
         # with one message
@@ -171,6 +177,33 @@ class TestCountBudget:
         # the column of the requested box is kept too
         assert delta(27, 20, 270) == gauss(47, 27).coefficient(270) - gauss(47, 27).coefficient(269)
         assert Counting.filled == 21
+
+    @pytest.mark.parametrize("k, n", [(40, 40), (12, 40)], ids=["square", "long"])
+    def test_delta_sweep_stores_at_most_two_fills(self, monkeypatch, k, n):
+        # the longer side is the rows and the other side comes in bands of
+        # powers of two, so past the budget a sweep adds about a row a weight
+        # instead of filling a new box from row 0 at every weight
+        class Counting(dict):
+            filled = 0
+
+            def __setitem__(self, key, value):
+                Counting.filled += 1
+                super().__setitem__(key, value)
+
+        _fresh_tables(monkeypatch, 50)
+        monkeypatch.setattr(boxpartitions, "_COUNT_TABLES", Counting())
+        got = [delta(k, n, m) for m in range(n * k + 2)]
+        assert Counting.filled <= 2 * (k + 1) * (n + 1)
+        p = (0, *gauss(n + k, k).coeffs, 0)
+        assert got == [b - a for a, b in zip(p, p[1:])]
+
+    def test_thin_fill_keeps_no_more_column_than_its_row(self, monkeypatch):
+        # every row of the 3000 x 1 fill passes the budget, and the column
+        # (j, 1) below it would hold about 1500 times the row
+        _fresh_tables(monkeypatch, 1000)
+        assert delta(10**20, 1, 3000) == 0
+        row = 1 + 3001
+        assert _stored(lambda k, n: (1,) * (n * k + 1)) <= 1000 + 2 * row
 
 
 class TestDelta:

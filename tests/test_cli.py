@@ -83,6 +83,13 @@ class TestDimCommand:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "delta=0 kernel=0 MATCH\n"
 
+    @pytest.mark.parametrize("n, k", [(1, 10**20), (10**20, 1)], ids=["n=1", "k=1"])
+    def test_huge_box_on_a_line_at_large_weight(self, n, k):
+        # delta fills the 10000 x 1 box a row at a time, whichever side is long
+        proc = run_capped("-m", "semiinv.cli", "dim", str(n), str(k), "10000")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "delta=0 kernel=0 MATCH\n"
+
     def test_above_middle_unchecked(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "2", "2", "3")
         assert code == 0

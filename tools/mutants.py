@@ -21,7 +21,7 @@ exactly once), in which case nothing is run.
 
 A change that backs a test with a mutant adds the mutant to ``MUTANTS``.
 The tool is not part of the tier-1 suite: it runs one pytest session per
-mutant (about 30 s for the table below on a 2-vCPU machine).
+mutant (about 60 s for the table below on a 2-vCPU machine).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ _BOX = "tests/test_boxpartitions.py::"
 _CAYLEY = "tests/test_cayley.py::"
 _MONO = "tests/test_monomials.py::"
 _WIT = "tests/test_witnesses.py::"
+_CLI = "tests/test_cli.py::"
 
 MUTANTS = [
     # the shifted combine writes one place too high
@@ -56,8 +57,8 @@ MUTANTS = [
             _QPOLY + "TestScansMatchLoops::test_sum_difference_and_shift")),
     # delta reads the weight below its own
     Mutant("src/semiinv/boxpartitions.py",
-           "_delta_row(min(k, m), min(n, m), m + 1)[m]",
-           "_delta_row(min(k, m), min(n, m), m + 1)[m - 1]",
+           "1 << m.bit_length()), m + 1)[m]",
+           "1 << m.bit_length()), m + 1)[m - 1]",
            (_BOX + "TestDelta::test_matches_brute_force_difference",
             _BOX + "TestDelta::test_worked_cell")),
     # the delta identity counts its witness from 1
@@ -104,9 +105,31 @@ MUTANTS = [
            (_MONO + "TestSIPoly::test_add_cancel",)),
     # delta fills the whole box instead of cutting it to the weight
     Mutant("src/semiinv/boxpartitions.py",
-           "_delta_row(min(k, m), min(n, m), m + 1)[m]",
-           "_delta_row(k, n, m + 1)[m]",
+           "_delta_row(min(max(k, n), m), min(k, n, 1 << m.bit_length()), m + 1)",
+           "_delta_row(k, n, m + 1)",
            (_BOX + "TestDelta::test_long_box_at_small_weight",)),
+    # delta cuts the columns to the weight, a new box at every weight
+    Mutant("src/semiinv/boxpartitions.py",
+           "min(k, n, 1 << m.bit_length())",
+           "min(k, n, m)",
+           (_BOX + "TestCountBudget::test_delta_sweep_stores_at_most_two_fills[square]",)),
+    # delta keeps the box's orientation, so a long side is the columns
+    Mutant("src/semiinv/boxpartitions.py",
+           "_delta_row(min(max(k, n), m), min(k, n, 1 << m.bit_length())",
+           "_delta_row(min(k, m), min(n, 1 << m.bit_length())",
+           (_BOX + "TestCountBudget::test_delta_sweep_stores_at_most_two_fills[long]",
+            _CLI + "TestDimCommand::test_huge_box_on_a_line_at_large_weight[k=1]")),
+    # count fills the whole box however thin it is
+    Mutant("src/semiinv/boxpartitions.py",
+           "if min(k, n) <= m:",
+           "if False:",
+           (_BOX + "TestCount::test_thin_box_at_small_weight",)),
+    # the eviction keeps the requested column whole
+    Mutant("src/semiinv/boxpartitions.py",
+           "if room < 0 or (j, n) not in _COUNT_TABLES:",
+           "if (j, n) not in _COUNT_TABLES:",
+           (_BOX + "TestCountBudget::test_thin_fill_keeps_no_more_column_than_its_row",
+            _CLI + "TestDimCommand::test_huge_box_on_a_line_at_large_weight[n=1]")),
     # a square counts its diagonal terms twice
     Mutant("src/semiinv/monomials.py",
            "acc[key] = get(key, 0) + c1 * c1",
