@@ -437,3 +437,68 @@ class SIPoly:
             terms[tuple(t["nu"])] = int(t["num"])
         return cls(n, terms)
 
+
+def _times_each(a: SIPoly, bs: Sequence[SIPoly]) -> list[SIPoly]:
+    """``[a * b for b in bs]`` from one product.
+
+    The ``bs`` are packed into one polynomial whose coefficient at a key
+    carries each ``b``'s coefficient there in a ``B``-bit lane of its own,
+    and ``a`` multiplies that polynomial once.  Each term of ``a`` puts at
+    most one term on a key of ``a * b``, so no lane's coefficient exceeds
+    ``sum|a| * max|b|`` in size; ``B`` is that bound's bit length plus one
+    bit for the sign and one for a square's doubled cross terms.  Each lane
+    is read back as a balanced signed digit.  When ``a is bs[0]`` the packed
+    family is squared, which forms each unordered pair of terms once: with
+    ``b_0`` in lane 0 and ``b_j`` in lane ``t-2+j`` (``t = len(bs)``), lane 0
+    of the square is ``b_0**2``, lane ``t-2+j`` is ``2*b_0*b_j``, every other
+    product of two lanes lands above lane ``2t-3``, and lanes 1 to ``t-2``
+    stay empty.  The products all carry the degree bound of that one product,
+    which is at least each pair's own.
+    """
+    if len(bs) < 2:
+        return [a * b for b in bs]
+    for b in bs:
+        a._check_same_n(b)
+    t = len(bs)
+    square = a is bs[0]
+    lanes = [0, *(t - 2 + j for j in range(1, t))] if square else list(range(t))
+    bound = sum(map(abs, a._terms.values())) * max(
+        (abs(c) for b in bs for c in b._terms.values()), default=0)
+    bits = bound.bit_length() + 2
+    deg = max(b._deg for b in bs)
+    w = _width(deg)
+    packed: dict[int, int] = {}
+    get = packed.get
+    for b, lane in zip(bs, lanes):
+        shift = bits * lane
+        for key, c in b._at(w).items():
+            packed[key] = get(key, 0) + (c << shift)
+    family = SIPoly._from_keys(a.n, deg, packed)
+    product = family * family if square else a * family
+    del family, packed
+    full = 1 << bits
+    half, mask = full >> 1, full - 1
+    outs: list[dict[int, int]] = [{} for _ in bs]
+    # each lane's digits go to its product's terms; a square's empty lanes
+    # read 0 and have no dict
+    by_lane: list[dict[int, int] | None] = [None] * (lanes[-1] + 1)
+    for lane, out in zip(lanes, outs):
+        by_lane[lane] = out
+    for key, v in product._terms.items():
+        for out in by_lane:
+            c = v & mask
+            if c >= half:
+                c -= full
+            if c:
+                out[key] = c
+            v = (v - c) >> bits
+            if not v:
+                break
+    deg = product._deg
+    del product
+    if square:
+        # the cross lanes hold 2*b_0*b_j, so every coefficient is even
+        for out in outs[1:]:
+            for key, c in out.items():
+                out[key] = c >> 1
+    return [SIPoly._from_keys(a.n, deg, out) for out in outs]

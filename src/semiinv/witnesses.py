@@ -6,10 +6,10 @@ Every witness here is built from two steps: the kernel triangle of one
 stratum (its triangulated kernel basis, which must hold as many vectors as
 the dimension bound promises) and :func:`lemma_combine`, the staircase
 products of two triangulated families, checked once as factor pairs by
-:func:`~semiinv.cayley._distinct_leads` and expanded only at the end.  A
-triangle is computed once per basis object and memoized under a weak
-reference to it, so the cache's eviction drops it, and a basis loaded
-again is a new object.
+:func:`~semiinv.cayley._distinct_leads` and then expanded as one packed
+product per row of the staircase.  A triangle is computed once per basis
+object and memoized under a weak reference to it, so the cache's eviction
+drops it, and a basis loaded again is a new object.
 
 * :func:`nr8_witnesses` produces two independent semi-invariants of degree
   ``r`` and weight ``n*r/2`` for any ``n, r >= 8`` with ``n*r`` even: the
@@ -36,7 +36,7 @@ from weakref import WeakKeyDictionary
 from .boxpartitions import delta
 from .cache import kernel_basis_cached
 from .cayley import KernelBasis, SylvesterMismatchError, _distinct_leads
-from .monomials import SIPoly
+from .monomials import SIPoly, _times_each
 
 # KernelBasis -> its triangulated vectors; an entry lives as long as its
 # basis object (KernelBasis hashes by identity)
@@ -103,6 +103,10 @@ def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
     ``b1[i]*b2[-1]`` for ``i >= 1``.  Their leads, the sums of their factors'
     (the order is multiplicative), strictly decrease exactly when both
     bases' do, so the products are independent; degrees and weights add.
+    The pairs are checked once as factors; then each row, ``b1[0]`` times
+    all of ``b2`` and ``b2[-1]`` times the rest of ``b1``, is expanded by one
+    packed product (:func:`~semiinv.monomials._times_each`), and each
+    product is made primitive.
     """
     if not b1 or not b2:
         raise ValueError("both bases must be nonempty")
@@ -110,7 +114,8 @@ def lemma_combine(b1: Sequence[SIPoly], b2: Sequence[SIPoly]) -> list[SIPoly]:
     pairs = [(b1[0], w) for w in b2] + [(v, b2[-1]) for v in b1[1:]]
     if not _distinct_leads(pairs):
         raise ValueError("inputs must be triangulated (strictly decreasing leads)")
-    return [(a * b).primitive() for a, b in pairs]
+    rows = _times_each(b1[0], b2) + _times_each(b2[-1], b1[1:])
+    return [p.primitive() for p in rows]
 
 
 def _triangle(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semiinv.boxpartitions import enumerate_partitions_in_box
 from semiinv.cayley import apply_D
-from semiinv.monomials import SIPoly, _pack, _width
+from semiinv.monomials import SIPoly, _pack, _times_each, _width
 
 from helpers import I1_TERMS, I2_TERMS, RefPoly, antilex_greater, brute_mul
 
@@ -389,6 +389,51 @@ class TestPackedKeysAgainstReference:
             _pack((32, 0), 5)
         with pytest.raises(ValueError):
             _pack((0, -1), 5)
+
+
+def _bounded_above(n, terms, pad):
+    """``SIPoly(n, terms)`` with its degree bound raised by ``pad``."""
+    p = SIPoly(n, terms)
+    return p._rekey(p._deg + pad)
+
+
+class TestTimesEach:
+    """``_times_each``'s one packed product against a product per factor."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_product_per_factor(self, data):
+        n = data.draw(st.integers(0, 3), label="n")
+        # every factor draws from one pool, so their supports overlap
+        pool = data.draw(
+            st.lists(st.tuples(*[EXPONENTS] * (n + 1)), min_size=1, max_size=6),
+            label="monomials",
+        )
+        coeffs = st.one_of(COEFFS, st.integers(-(2**200), 2**200),
+                           st.sampled_from([2**200, -(2**200)]))
+        # some factors carry a degree bound above their terms' degree
+        polys = st.builds(_bounded_above, st.just(n),
+                          st.dictionaries(st.sampled_from(pool), coeffs, max_size=5),
+                          st.sampled_from([0, 0, 1, 40]))
+        bs = data.draw(st.lists(polys, min_size=1, max_size=5), label="bs")
+        a = bs[0] if data.draw(st.booleans(), label="square") else data.draw(polys, label="a")
+        out = _times_each(a, bs)
+        expected = [a * b for b in bs]
+        assert out == expected
+        assert [p._json_bytes() for p in out] == [p._json_bytes() for p in expected]
+
+    def test_lanes_at_their_bound_and_below_zero(self):
+        # (a_0 + a_1) squared beside itself: its cross lane holds 2*p*p, whose
+        # a_0 a_1 coefficient 4 is twice sum|p| * max|p|, the most a square's
+        # lane can hold; a lane one bit narrower would read it as -4
+        p = SIPoly.variable(1, 0) + SIPoly.variable(1, 1)
+        assert _times_each(p, [p, p]) == [p * p, p * p]
+        q = SIPoly.variable(1, 0) - SIPoly.variable(1, 1).scale(2)
+        r = SIPoly.variable(1, 1) - SIPoly.variable(1, 0)
+        for a, bs in [(p, [q, r]), (q, [q, r, p]), (r, [p, q.scale(-3), r])]:
+            out = _times_each(a, bs)
+            assert out == [a * b for b in bs]
+            assert any(c < 0 for o in out for _, c in o.items())
 
 
 def _compact_json(p):

@@ -383,6 +383,39 @@ class TestLemmaCombine:
                 lemma_combine(b1, b2)
 
 
+class TestPackedRows:
+    def test_one_product_per_staircase_row(self, monkeypatch, tmp_path):
+        # nr8_witnesses(8, 16) squares the packed pair J1, J2 once (a product
+        # per pair made 2); strict_witnesses(8, 14, 8, 56) multiplies J1 by
+        # the packed triangle of (8, 6, 24) and J2 by its last vector (a
+        # product per pair made 5)
+        cache.clear_memory_cache()
+        try:
+            j1, j2 = witnesses._triangle(8, 8, 32, 2, tmp_path)[:2]
+            inner = witnesses._triangle(8, 6, 24, 4, tmp_path)
+            mul = SIPoly.__mul__
+            made = []
+
+            def counted(a, b):
+                made.append((a, b))
+                return mul(a, b)
+
+            monkeypatch.setattr(SIPoly, "__mul__", counted)
+            for build, pairs, calls in [
+                (lambda: nr8_witnesses(8, 16, tmp_path), [(j1, j1), (j1, j2)], 1),
+                (lambda: strict_witnesses(8, 14, 8, 56, tmp_path),
+                 [(j1, v) for v in inner] + [(j2, inner[-1])], 2),
+            ]:
+                made.clear()
+                ws = build()
+                assert len(made) == calls
+                expected = [mul(a, b).primitive() for a, b in pairs]
+                assert list(ws) == expected
+                assert [w._json_bytes() for w in ws] == [e._json_bytes() for e in expected]
+        finally:
+            cache.clear_memory_cache()
+
+
 class TestMixedDegreeBounds:
     # a_0^3 > a_1 anti-lexicographically, but each one's own keys read 3
     # and 2 (a_0^2 and a_1 both read 2): leads must compare at one width
