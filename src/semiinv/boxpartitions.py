@@ -36,10 +36,12 @@ from itself shifted by one.  A weight-``m`` partition has at most ``m``
 parts, each at most ``m``, and ``p(k, n, .) == p(n, k, .)``: :func:`delta`
 takes the longer side cut to ``m`` as rows and the shorter cut to the
 power of two above ``m`` as columns, so a weight sweep grows a row at a
-time in a few column bands; :func:`count_partitions_in_box` cuts only a
-box with a side of at most ``m``, to ``(min(k, m), min(n, m))``, boxes of
-the full box's last row (with delta's rule, counting every weight of each
-link of ``gauss(200, 100)``'s chain took 51 s, not 2.2 s).  The memo is
+time in a few column bands; :func:`count_partitions_in_box` cuts a box
+to ``(min(k, m), min(n, m))`` only when a side is at most ``m``, which
+gives boxes of the full box's last row (with delta's rule, counting every
+weight of each link of ``gauss(200, 100)``'s chain took 51 s, not 2.2 s),
+or when the box has more cells than the budget, so its whole vector could
+not be kept.  The memo is
 filled iteratively, row by row (``k`` fixed, ``n`` rising), from the
 highest row already complete, so a box of any shape needs no recursion and
 the box one row up costs one row.  A vector that reads the same backwards,
@@ -135,7 +137,7 @@ def count_partitions_in_box(k: int, n: int, m: int) -> int:
     _check_box(k, n, m)
     if m < 0 or m > n * k:
         return 0
-    if min(k, n) <= m:
+    if min(k, n) <= m or n * k > _COUNT_BUDGET:
         k, n = min(k, m), min(n, m)
     return _count_table(k, n)[m]
 

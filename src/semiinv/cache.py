@@ -17,9 +17,9 @@ arguments that are not ints are refused before the memo is read, so
 results never depend on call order or eviction.
 
 Both the write and the byte check encode a basis with
-:func:`kernel_json_bytes`, which fills one bytes template per vector and
-builds no object per term; its peak memory is about twice the file's
-bytes.
+:func:`kernel_json_bytes`, which formats each distinct monomial of the
+basis once and builds no object per term; its peak memory is about twice
+the file's bytes.
 
 The cache directory is chosen from, in order: an explicit argument, the
 ``SEMIINV_CACHE`` environment variable, or nothing (memory only).  The CLI
@@ -34,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 from .cayley import KernelBasis, _canonical, _check_ints, kernel_basis
+from .monomials import _json_bytes_each
 
 ENV_VAR = "SEMIINV_CACHE"
 
@@ -62,15 +63,18 @@ def kernel_json_bytes(kb: KernelBasis) -> bytes:
     """``kb.to_json_obj()`` as byte-stable JSON (fixed separators, key order
     kept, one closing newline), built one vector at a time.
 
-    Each vector's bytes come from one format call over its terms
-    (:meth:`~semiinv.monomials.SIPoly._json_bytes`), so no JSON object is
+    The vectors share the monomials of one stratum, and one call of
+    :func:`~semiinv.monomials._json_bytes_each` formats each monomial's
+    exponents once (526 keys for the 3,402 terms at (8,8,32)); each vector
+    is then one format call over its coefficients, so no JSON object is
     built.  One encode of the whole basis keeps every token as a string
-    until it is done, 12-26 times the file's size; here the finished parts
-    and one vector's template are alive at once, about twice the file's size.
+    until it is done, 12-26 times the file's size; here the finished parts,
+    the fragments and one vector's template are alive at once, about twice
+    the file's size.
     """
     # the header's encoding ends in '"vectors":[]}'; keep it up to the '['
     head = _ENCODER.encode({**kb._json_header(), "vectors": []})[:-2].encode()
-    body = b",".join(v._json_bytes() for v in kb.vectors)
+    body = b",".join(_json_bytes_each(kb.vectors))
     return b"".join((head, body, b"]}\n"))
 
 

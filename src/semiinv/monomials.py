@@ -409,23 +409,8 @@ class SIPoly:
         return [{"nu": nu, "num": num, "den": "1"} for nu, num in zip(nus, nums)]
 
     def _json_bytes(self) -> bytes:
-        """:meth:`to_json_list` as compact JSON bytes, without its objects.
-
-        One ``%`` fills a template of every term from the flat sequence
-        ``nu_0, ..., nu_n, c`` of the terms in order, so no per-term object
-        is built.
-        """
-        terms = self._terms
-        keys = sorted(terms)
-        columns = _slots(keys, self.n, _width(self._deg))
-        columns.append(map(terms.__getitem__, keys))
-        stride = len(columns)
-        flat = [0] * (stride * len(keys))
-        for i, column in enumerate(columns):
-            flat[i::stride] = column
-        nu = b",".join([b"%d"] * (self.n + 1))
-        term = b'{"nu":[' + nu + b'],"num":"%d","den":"1"}'
-        return b"[%s]" % (b",".join([term] * len(keys)) % tuple(flat))
+        """:meth:`to_json_list` as compact JSON bytes (see :func:`_json_bytes_each`)."""
+        return _json_bytes_each([self])[0]
 
     @classmethod
     def from_json_list(cls, n: int, obj: Iterable[dict]) -> "SIPoly":
@@ -436,6 +421,34 @@ class SIPoly:
                 raise ValueError(f"denominator {t['den']!r} is not \"1\"")
             terms[tuple(t["nu"])] = int(t["num"])
         return cls(n, terms)
+
+
+def _json_bytes_each(vs: Iterable[SIPoly]) -> list[bytes]:
+    """``[v._json_bytes() for v in vs]``, formatting each distinct key once.
+
+    A key's term fragment ``{"nu":[...],"num":"%d","den":"1"}`` is made the
+    first time the key is met, by one ``%`` over the new keys' slot columns,
+    and a vector is one ``%`` of its coefficients into its keys' fragments,
+    so no per-term object is built.  The fragments are kept per ``(n, slot
+    width)``: one int is another monomial at another width.
+    """
+    fragments: dict[tuple[int, int], dict[int, bytes]] = {}
+    out = []
+    for v in vs:
+        n, w, terms = v.n, _width(v._deg), v._terms
+        frags = fragments.setdefault((n, w), {})
+        keys = sorted(terms)
+        new = [key for key in keys if key not in frags]
+        if new:
+            flat = [0] * ((n + 1) * len(new))
+            for i, column in enumerate(_slots(new, n, w)):
+                flat[i::n + 1] = column
+            term = b'{"nu":[' + b",".join([b"%d"] * (n + 1)) + b'],"num":"%%d","den":"1"}'
+            filled = b"\n".join([term] * len(new)) % tuple(flat)
+            frags.update(zip(new, filled.split(b"\n")))
+        body = b",".join(map(frags.__getitem__, keys))
+        out.append(b"[%s]" % (body % tuple(map(terms.__getitem__, keys))))
+    return out
 
 
 def _times_each(a: SIPoly, bs: Sequence[SIPoly]) -> list[SIPoly]:

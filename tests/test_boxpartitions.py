@@ -54,6 +54,13 @@ class TestCount:
                           "print(p(1, 10**5, 1), p(10**5, 1, 1))")
         assert (proc.returncode, proc.stdout) == (0, "1 1\n"), proc.stderr
 
+    def test_wide_box_at_small_weight(self):
+        # both sides longer than the weight, but more cells than the budget:
+        # the box is cut to the weight rather than filled
+        proc = run_capped("-c", "from semiinv.boxpartitions import count_partitions_in_box as p; "
+                          "print(p(10**6, 10**6, 5))")
+        assert (proc.returncode, proc.stdout) == (0, "7\n"), proc.stderr
+
     def test_negative_box_rejected(self):
         # the count, delta, the delta row and the walk each check the box,
         # with one message

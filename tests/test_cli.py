@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semiinv
-from semiinv import cache, differences
+from semiinv import cache, differences, monomials
 from semiinv.cli import build_parser, main
 
 from helpers import canonical_json_bytes, run_capped
@@ -584,8 +584,26 @@ class TestKernelJson:
                 tracemalloc.stop()
         old, new = peaks
         assert new < 0.4 * old, peaks
-        # the bytes template and the finished parts, about twice the file
+        # the finished parts, the fragments and one vector's template, about
+        # twice the file
         assert new < 2.5 * len(cache.kernel_json_bytes(kb)), peaks
+
+    @pytest.mark.parametrize("stratum, keys, terms",
+                             [((8, 8, 32), 526, 3402), ((9, 7, 31), 465, 1796)])
+    def test_each_distinct_monomial_formatted_once(self, monkeypatch, stratum, keys, terms):
+        kb = cache.kernel_basis(*stratum)
+        assert sum(map(len, kb.vectors)) == terms
+        unpacked = []
+        slots = monomials._slots
+
+        def counted(ks, n, w):
+            unpacked.extend(ks)
+            return slots(ks, n, w)
+
+        monkeypatch.setattr(monomials, "_slots", counted)
+        data = cache.kernel_json_bytes(kb)
+        assert len(unpacked) == len(set(unpacked)) == keys
+        assert data == _old_encoding(kb)
 
 
 SUBCOMMANDS = [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semiinv.boxpartitions import enumerate_partitions_in_box
 from semiinv.cayley import apply_D
-from semiinv.monomials import SIPoly, _pack, _times_each, _width
+from semiinv.monomials import SIPoly, _json_bytes_each, _pack, _times_each, _width
 
 from helpers import I1_TERMS, I2_TERMS, RefPoly, antilex_greater, brute_mul
 
@@ -469,3 +469,37 @@ class TestJsonBytes:
         expected = b'[{"nu":[%s],"num":"%d","den":"1"}]' % (
             b",".join([b"0"] * (n + 1)), -(2**70))
         assert const._json_bytes() == _compact_json(const) == expected
+
+
+class TestJsonBytesEach:
+    """One call over a family, whose fragments are shared, against ``json``
+    of each vector's object form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_family_matches_compact_json_of_each(self, data):
+        ns = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=2, unique=True),
+                       label="ns")
+        # the vectors of one n draw from one pool, so their supports overlap
+        pools = {n: data.draw(st.lists(st.tuples(*[EXPONENTS] * (n + 1)),
+                                       min_size=1, max_size=6), label=f"monomials n={n}")
+                 for n in ns}
+        coeffs = st.one_of(COEFFS, st.integers(-(2**80), 2**80),
+                           st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1]))
+
+        def vectors(n):
+            # empty terms give zero vectors; a raised bound gives wider slots
+            return st.builds(_bounded_above, st.just(n),
+                             st.dictionaries(st.sampled_from(pools[n]), coeffs, max_size=6),
+                             st.sampled_from([0, 0, 1, 40]))
+
+        vs = data.draw(st.lists(st.sampled_from(ns).flatmap(vectors), max_size=6), label="vs")
+        assert _json_bytes_each(vs) == [_compact_json(v) for v in vs]
+
+    def test_same_key_at_two_widths(self):
+        # key 2 is a_1 in 1-bit slots and a_0^2 in 2-bit slots
+        narrow, wide = SIPoly(1, {(0, 1): 1}), SIPoly(1, {(2, 0): 1})
+        assert (_width(narrow._deg), list(narrow._terms)) == (1, [2])
+        assert (_width(wide._deg), list(wide._terms)) == (2, [2])
+        for vs in ([narrow, wide], [wide, narrow]):
+            assert _json_bytes_each(vs) == [_compact_json(v) for v in vs]

@@ -21,7 +21,7 @@ exactly once), in which case nothing is run.
 
 A change that backs a test with a mutant adds the mutant to ``MUTANTS``.
 The tool is not part of the tier-1 suite: it runs one pytest session per
-mutant (about 60 s for the 22 mutants below on a 2-vCPU machine).
+mutant (about 60 s for the 25 mutants below on a 2-vCPU machine).
 """
 
 from __future__ import annotations
@@ -121,9 +121,14 @@ MUTANTS = [
             _CLI + "TestDimCommand::test_huge_box_on_a_line_at_large_weight[k=1]")),
     # count fills the whole box however thin it is
     Mutant("src/semiinv/boxpartitions.py",
-           "if min(k, n) <= m:",
-           "if False:",
+           "if min(k, n) <= m or n * k > _COUNT_BUDGET:",
+           "if n * k > _COUNT_BUDGET:",
            (_BOX + "TestCount::test_thin_box_at_small_weight",)),
+    # count fills a box wider than the weight both ways however large it is
+    Mutant("src/semiinv/boxpartitions.py",
+           "if min(k, n) <= m or n * k > _COUNT_BUDGET:",
+           "if min(k, n) <= m:",
+           (_BOX + "TestCount::test_wide_box_at_small_weight",)),
     # the eviction keeps the requested column whole
     Mutant("src/semiinv/boxpartitions.py",
            "if room < 0 or (j, n) not in _COUNT_TABLES:",
@@ -169,6 +174,16 @@ MUTANTS = [
            "t - 3 + j",
            (_MONO + "TestTimesEach::test_lanes_at_their_bound_and_below_zero",
             _WIT + "TestPackedRows::test_one_product_per_staircase_row")),
+    # term fragments keyed by the packed key alone, whatever its width
+    Mutant("src/semiinv/monomials.py",
+           "fragments.setdefault((n, w), {})",
+           "fragments.setdefault(0, {})",
+           (_MONO + "TestJsonBytesEach::test_same_key_at_two_widths",)),
+    # term fragments made again for every vector
+    Mutant("src/semiinv/monomials.py",
+           "frags = fragments.setdefault((n, w), {})",
+           "frags = {}",
+           (_CLI + "TestKernelJson::test_each_distinct_monomial_formatted_once",)),
 ]
 
 
