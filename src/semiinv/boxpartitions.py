@@ -41,12 +41,11 @@ to ``(min(k, m), min(n, m))`` only when a side is at most ``m``, which
 gives boxes of the full box's last row (with delta's rule, counting every
 weight of each link of ``gauss(200, 100)``'s chain took 51 s, not 2.2 s),
 or when the box has more cells than the budget, so its whole vector could
-not be kept.  The memo is
-filled iteratively, row by row (``k`` fixed, ``n`` rising), from the
-highest row already complete, so a box of any shape needs no recursion and
-the box one row up costs one row.  A vector that reads the same backwards,
-as every box count does, stores each mirrored pair of coefficients as one
-int object.  The budget is a fixed number of stored coefficients, not
+not be kept.  The memo is filled iteratively, row by row (``k`` fixed,
+``n`` rising), from the highest row already complete, so a box of any
+shape needs no recursion and the box one row up costs one row.  A vector
+that reads the same backwards, as every box count does, stores each
+mirrored pair of coefficients as one int object.  The budget is a fixed number of stored coefficients, not
 objects: once a finished row leaves the memo past it, everything is
 dropped but that row, which is all the next row reads, and the requested
 column's nearest boxes ``(k', n)``, ``k' < k``, while they hold no more

@@ -36,7 +36,8 @@ arithmetic and hashing cheap.  Exponents leave the keys only at the
 boundaries, all through one slot-by-slot unpacking step: as tuples in
 ``items``, ``sorted_terms``, ``leading_nu``, ``to_json_list`` and ``str``,
 and as the flat values that fill the kernel files' JSON bytes
-(``_json_bytes``), which builds no object per term.
+(``_json_bytes_each``), which formats each distinct key of a basis once and
+builds no object per term.
 Values are immutable; all operations return new objects.
 """
 
