@@ -20,6 +20,10 @@ rank and the free columns are the same.  :func:`kernel_basis` and
 :func:`semiinvariant_dim` share one entry that checks the arguments,
 builds the matrix and eliminates it; at weight 0 no matrix is built, since
 the single monomial ``a_0^k`` is the kernel.
+:func:`sylvester_grid_mismatches` sweeps each ``(n, k)`` column of its grid
+down from the top weight instead, with one stratum walk: the columns of
+each lower weight are the sorted row keys of the matrix above, and the
+matrices are the ones :func:`build_D_matrix` returns.
 
 The nullspace computation is exact and fraction-free: :func:`_echelon`
 takes the columns in the fixed anti-lexicographic order with a
@@ -172,12 +176,20 @@ def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
     above, in place of ``i*nu_i`` on monomials.  Column ``j`` is the j-th
     key of the weight-``m`` stratum and has at most ``n`` nonzero entries;
     its rows are keyed by the image keys ``key + step_i``, which reach
-    every monomial of weight ``m-1``.  One walk of the weight-``m`` stratum
-    builds both the columns and the rows, into a new matrix on every call.
+    every monomial of weight ``m-1``: it has a unit in some slot ``j < n``,
+    since ``m-1 < n*k``, and raising that unit gives a preimage.  So the
+    sorted row keys are the weight-``m-1`` stratum.  One walk of the
+    weight-``m`` stratum builds both the columns and the rows, into a new
+    matrix on every call.
     """
     if not 1 <= m <= n * k:
         raise ValueError(f"weight {m} outside [1, {n * k}]")
-    col_keys = _stratum_keys(k, n, m)
+    return _lowering_matrix(n, k, m, _stratum_keys(k, n, m))
+
+
+def _lowering_matrix(n: int, k: int, m: int, col_keys: Sequence[int]) -> SparseIntMatrix:
+    """:func:`build_D_matrix` on the given weight-``m`` stratum, its packed
+    keys in ascending order."""
     w = _width(k)
     mask = (1 << w) - 1
     # a slot above the weight never holds an exponent
@@ -446,6 +458,23 @@ def semiinvariant_dim(n: int, k: int, m: int) -> int:
     return len(_eliminate(n, k, m)[2])
 
 
+def _column_nullities(n: int, k: int, top: int) -> list[int]:
+    """Nullities of the lowering operator on the (k, m) strata for
+    ``m = 0..top``, ``top <= n*k``, with one stratum walk.
+
+    Each weight's matrix is eliminated as :func:`semiinvariant_dim` would,
+    but below ``top`` its columns are the sorted row keys of the matrix one
+    weight above, which :func:`build_D_matrix` shows are the whole stratum.
+    """
+    nullities = [1] * (top + 1)
+    keys = _stratum_keys(k, n, top) if top else []
+    for m in range(top, 0, -1):
+        mat = _lowering_matrix(n, k, m, keys)
+        keys = sorted(mat.rows)
+        nullities[m] = len(_echelon(mat)[1])
+    return nullities
+
+
 def shear_coefficients(a: Sequence[int | Fraction], h: int | Fraction) -> list[Fraction]:
     """Coefficients of the form after the shear ``x -> x + h*y``.
 
@@ -481,15 +510,18 @@ def sylvester_grid_mismatches(
     """Compare nullity and partition difference on the full desk-scale grid.
 
     Returns ``(n, k, m, delta, nullity)`` tuples for every disagreement on
-    ``0 <= n <= n_max``, ``0 <= k <= k_max``, ``0 <= m <= n*k/2``; an empty
-    list means the two computations agree everywhere.
+    ``0 <= n <= n_max``, ``0 <= k <= k_max``, ``0 <= m <= n*k/2``, in
+    ascending ``(n, k, m)`` order; an empty list means the two computations
+    agree everywhere.  Each ``(n, k)`` column is swept down from its top
+    weight with one stratum walk; every nullity is still an exact
+    elimination of the matrix :func:`build_D_matrix` returns, independent
+    of ``delta``.
     """
     bad = []
     for n in range(n_max + 1):
         for k in range(k_max + 1):
-            for m in range(n * k // 2 + 1):
+            for m, dim in enumerate(_column_nullities(n, k, n * k // 2)):
                 d = delta(k, n, m)
-                dim = semiinvariant_dim(n, k, m)
                 if d != dim:
                     bad.append((n, k, m, d, dim))
     return bad

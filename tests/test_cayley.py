@@ -30,6 +30,7 @@ from semiinv.cayley import (
     semiinvariant_dim,
     shear_check,
     shear_coefficients,
+    sylvester_grid_mismatches,
 )
 from semiinv.monomials import SIPoly, _unpack, _width
 from semiinv.witnesses import triangulate
@@ -161,12 +162,23 @@ class TestMatrix:
                 assert rescaled == expected
 
     def test_rows_are_the_lower_stratum(self):
-        for n in range(1, 7):
-            for k in range(1, 7):
+        # the column sweep of sylvester_grid_mismatches rests on this; k runs
+        # past the slot-width steps at k = 4 and k = 8
+        for n in range(1, 8):
+            for k in range(1, 10):
                 for m in range(1, n * k + 1):
                     mat = build_D_matrix(n, k, m)
                     assert mat.nrows == count_partitions_in_box(k, n, m - 1), (n, k, m)
                     assert sorted(mat.rows) == _stratum_keys(k, n, m - 1), (n, k, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 16), k=st.integers(1, 16), data=st.data())
+    def test_rows_are_the_lower_stratum_of_larger_boxes(self, n, k, data):
+        m = data.draw(st.integers(1, n * k), label="m")
+        # halve the distance to the nearer end until the stratum is small
+        while count_partitions_in_box(k, n, m) > 3000:
+            m = (m + 1) // 2 if 2 * m <= n * k else m + (n * k - m + 1) // 2
+        assert sorted(build_D_matrix(n, k, m).rows) == _stratum_keys(k, n, m - 1)
 
     def test_one_stratum_walk_per_matrix(self, monkeypatch):
         calls = []
@@ -572,6 +584,37 @@ class TestDimension:
             for k in range(5):
                 for m in range(n * k // 2 + 1):
                     assert semiinvariant_dim(n, k, m) == delta(k, n, m)
+
+
+class TestSylvesterGrid:
+    def test_column_sweep_matches_single_strata(self):
+        for n in range(6):
+            for k in range(6):
+                assert cayley._column_nullities(n, k, n * k) == [
+                    semiinvariant_dim(n, k, m) for m in range(n * k + 1)
+                ], (n, k)
+
+    def test_one_stratum_walk_per_column(self, monkeypatch):
+        calls = []
+
+        def counting(k, n, m):
+            calls.append((k, n, m))
+            return _stratum_keys(k, n, m)
+
+        monkeypatch.setattr(cayley, "_stratum_keys", counting)
+        assert sylvester_grid_mismatches(8, 7) == []
+        # only columns with n*k >= 2 have a weight above 0
+        assert calls == [(k, n, n * k // 2)
+                         for n in range(9) for k in range(8) if n * k >= 2]
+        assert len(calls) == 55
+
+    def test_mismatches_in_one_column_ascend(self, monkeypatch):
+        real = cayley._column_nullities
+        monkeypatch.setattr(
+            cayley, "_column_nullities",
+            lambda n, k, top: [d + ((n, k, m) in ((4, 4, 2), (4, 4, 6)))
+                               for m, d in enumerate(real(n, k, top))])
+        assert sylvester_grid_mismatches(5, 5) == [(4, 4, 2, 1, 2), (4, 4, 6, 2, 3)]
 
 
 class TestShear:

@@ -377,6 +377,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "delta == kernel nullity everywhere" in out
 
+    def test_sylvester_benchmark_grid_golden(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "sylvester", "--nmax", "8",
+                                 "--kmax", "7")
+        assert (code, out, err) == (
+            0, "sylvester: 568 cells, delta == kernel nullity everywhere\n", "")
+
     def test_F_suite(self, capsys, tmp_path):
         prefix = str(tmp_path / "freport")
         code, out, _ = run_cli(capsys, "verify", "F", "--nmax", "6", "--kmax", "6",
@@ -740,9 +746,10 @@ class TestExitCodeContract:
         from semiinv import cayley
 
         # a nullity off by one at the worked cell
-        real = cayley.semiinvariant_dim
-        monkeypatch.setattr(cayley, "semiinvariant_dim",
-                            lambda n, k, m: real(n, k, m) + ((n, k, m) == (4, 4, 6)))
+        real = cayley._column_nullities
+        monkeypatch.setattr(cayley, "_column_nullities",
+                            lambda n, k, top: [d + ((n, k, m) == (4, 4, 6))
+                                               for m, d in enumerate(real(n, k, top))])
         code, out, _ = run_cli(capsys, "verify", "sylvester", "--nmax", "4",
                                "--kmax", "4")
         assert code == 3
