@@ -16,14 +16,14 @@ The matrix is built by :func:`build_D_matrix` in the divided-power basis
 ``a^nu / s(nu)``, where its entries are 1 and ``nu_{i-1} + 1`` in place of
 ``i*nu_i``, so more pivots are 1 and fewer rows need rescaling.  These are
 positive diagonal row and column scalings of the monomial matrix, so the
-rank and the free columns are the same.  :func:`kernel_basis` and
-:func:`semiinvariant_dim` share one entry that checks the arguments,
-builds the matrix and eliminates it; at weight 0 no matrix is built, since
-the single monomial ``a_0^k`` is the kernel.
-:func:`sylvester_grid_mismatches` sweeps each ``(n, k)`` column of its grid
-down from the top weight instead, with one stratum walk: the columns of
-each lower weight are the sorted row keys of the matrix above, and the
-matrices are the ones :func:`build_D_matrix` returns.
+rank and the free columns are the same.  :func:`build_D_matrix` is the one
+place that checks the arguments; at weight 0 its matrix has the single
+column ``a_0^k`` and no row.  One loop eliminates, :func:`_sweep`: it
+starts from the matrix :func:`build_D_matrix` returns and goes down the
+weights, each lower weight's columns being the sorted row keys of the
+matrix above.  :func:`kernel_basis` and :func:`semiinvariant_dim` take its
+first step, and :func:`sylvester_grid_mismatches` runs it down each
+``(n, k)`` column of its grid, with one stratum walk per column.
 
 The nullspace computation is exact and fraction-free: :func:`_echelon`
 takes the columns in the fixed anti-lexicographic order with a
@@ -52,7 +52,7 @@ vector is the product of one factor.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from math import comb, factorial, gcd, lcm
 
 from .boxpartitions import _stratum_keys, delta
@@ -170,7 +170,9 @@ def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
     """Matrix of the lowering operator from weight ``m`` to weight ``m-1``
     in the divided-power basis ``a^nu / s(nu)``.
 
-    Requires ``1 <= m <= n*k``.  ``s(nu) = prod_{i=1..n} (i!)^nu_i nu_i!``
+    Takes ints ``n, k >= 0`` and ``0 <= m <= n*k``; at ``m = 0`` the
+    matrix has one column, ``a_0^k``, and no row, since ``D`` kills it.
+    ``s(nu) = prod_{i=1..n} (i!)^nu_i nu_i!``
     (slot 0 is left out), and in that basis ``D`` moves one unit from slot
     ``i`` to slot ``i-1`` with entry 1 at ``i = 1`` and ``nu_{i-1} + 1``
     above, in place of ``i*nu_i`` on monomials.  Column ``j`` is the j-th
@@ -182,8 +184,11 @@ def build_D_matrix(n: int, k: int, m: int) -> SparseIntMatrix:
     weight-``m`` stratum builds both the columns and the rows, into a new
     matrix on every call.
     """
-    if not 1 <= m <= n * k:
-        raise ValueError(f"weight {m} outside [1, {n * k}]")
+    _check_ints(n, k, m)
+    if n < 0 or k < 0:
+        raise ValueError(f"parameters must be nonnegative, got n={n}, k={k}")
+    if not 0 <= m <= n * k:
+        raise ValueError(f"weight {m} outside [0, {n * k}]")
     return _lowering_matrix(n, k, m, _stratum_keys(k, n, m))
 
 
@@ -221,8 +226,9 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
 
     Returns ``(pivots, free_cols)`` where ``pivots`` is a list of
     ``(pivot_column, row)`` in ascending pivot-column order.  The rows are
-    ``mat.rows``' own dicts, overwritten, so elimination consumes ``mat``;
-    each pivot row is zero before its pivot column and positive at it.
+    ``mat.rows``' own dicts, overwritten, so elimination consumes ``mat``
+    but keeps every row key; each pivot row is zero before its pivot column
+    and positive at it.
     Among the rows still nonzero at a column, the pivot is the one with the
     smallest ``(|entry|, row length, row key)``; a lone candidate is the
     pivot at once, its sign made positive, and no row is updated.  Entries
@@ -373,24 +379,24 @@ def _check_ints(n: int, k: int, m: int) -> None:
         raise TypeError(f"n={n!r}, k={k!r}, m={m!r}: arguments must be ints")
 
 
-def _eliminate(
-    n: int, k: int, m: int
-) -> tuple[tuple[int, ...], list[tuple[int, dict[int, int]]], list[int]]:
+def _sweep(
+    n: int, k: int, top: int
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, dict[int, int]]], list[int]]]:
     """``(col_keys, pivots, free_cols)`` of the lowering matrix of the
-    (k, m) stratum, by :func:`_echelon`; the matrix itself is dropped.
+    (k, m) stratum, by :func:`_echelon`, for ``m = top, top-1, ..., 0``.
 
-    At ``m == 0`` the stratum is the single monomial ``a_0^k``, which ``D``
-    kills, so its one column is free and no matrix is built.
+    The matrix at ``top`` is the one :func:`build_D_matrix` returns, which
+    checks the arguments.  Each lower weight's columns are the sorted row
+    keys of the matrix above, which :func:`build_D_matrix` shows are the
+    whole stratum and :func:`_echelon` keeps, so a column is one stratum
+    walk.  The next matrix is built only when the next item is asked for,
+    so the first item costs one matrix.
     """
-    _check_ints(n, k, m)
-    if n < 0 or k < 0:
-        raise ValueError(f"parameters must be nonnegative, got n={n}, k={k}")
-    if not 0 <= m <= n * k:
-        raise ValueError(f"weight {m} outside [0, {n * k}]")
-    if not m:
-        return tuple(_stratum_keys(k, n, 0)), [], [0]
-    mat = build_D_matrix(n, k, m)
-    return (mat.col_keys, *_echelon(mat))
+    mat = build_D_matrix(n, k, top)
+    for m in range(top, -1, -1):
+        if m < top:
+            mat = _lowering_matrix(n, k, m, sorted(mat.rows))
+        yield (mat.col_keys, *_echelon(mat))
 
 
 def _divided_power_scales(n: int, k: int, m: int, keys: Sequence[int]) -> list[int]:
@@ -422,7 +428,7 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     coefficient) and ordered by their defining free column.  For
     ``m <= n*k/2`` the basis size is asserted to equal ``delta(k, n, m)``.
     """
-    keys, pivots, free_cols = _eliminate(n, k, m)
+    keys, pivots, free_cols = next(_sweep(n, k, m))
     # a vector is zero past its free column
     scales = _divided_power_scales(n, k, m, keys[: max(free_cols, default=-1) + 1])
     vectors = []
@@ -455,24 +461,13 @@ def semiinvariant_dim(n: int, k: int, m: int) -> int:
     so comparing this value with ``delta(k, n, m)`` is a genuine two-route
     check.
     """
-    return len(_eliminate(n, k, m)[2])
+    return len(next(_sweep(n, k, m))[2])
 
 
 def _column_nullities(n: int, k: int, top: int) -> list[int]:
     """Nullities of the lowering operator on the (k, m) strata for
-    ``m = 0..top``, ``top <= n*k``, with one stratum walk.
-
-    Each weight's matrix is eliminated as :func:`semiinvariant_dim` would,
-    but below ``top`` its columns are the sorted row keys of the matrix one
-    weight above, which :func:`build_D_matrix` shows are the whole stratum.
-    """
-    nullities = [1] * (top + 1)
-    keys = _stratum_keys(k, n, top) if top else []
-    for m in range(top, 0, -1):
-        mat = _lowering_matrix(n, k, m, keys)
-        keys = sorted(mat.rows)
-        nullities[m] = len(_echelon(mat)[1])
-    return nullities
+    ``m = 0..top``, ``top <= n*k``, from one :func:`_sweep`."""
+    return [len(free_cols) for _, _, free_cols in _sweep(n, k, top)][::-1]
 
 
 def shear_coefficients(a: Sequence[int | Fraction], h: int | Fraction) -> list[Fraction]:
@@ -512,10 +507,10 @@ def sylvester_grid_mismatches(
     Returns ``(n, k, m, delta, nullity)`` tuples for every disagreement on
     ``0 <= n <= n_max``, ``0 <= k <= k_max``, ``0 <= m <= n*k/2``, in
     ascending ``(n, k, m)`` order; an empty list means the two computations
-    agree everywhere.  Each ``(n, k)`` column is swept down from its top
-    weight with one stratum walk; every nullity is still an exact
-    elimination of the matrix :func:`build_D_matrix` returns, independent
-    of ``delta``.
+    agree everywhere.  Each ``(n, k)`` column is one :func:`_sweep` down
+    from its top weight, with one stratum walk; every nullity is still an
+    exact elimination of the matrix :func:`build_D_matrix` returns,
+    independent of ``delta``.
     """
     bad = []
     for n in range(n_max + 1):

@@ -194,10 +194,22 @@ class TestMatrix:
             assert calls == [(k, n, m)]
 
     def test_bad_weight_rejected(self):
-        with pytest.raises(ValueError):
-            build_D_matrix(3, 3, 0)
-        with pytest.raises(ValueError):
-            build_D_matrix(3, 3, 10)
+        for m in (-1, 10):
+            with pytest.raises(ValueError, match=r"outside \[0, 9\]"):
+                build_D_matrix(3, 3, m)
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(TypeError, match=r"^n=.*, k=.*, m=.*: arguments must be ints"):
+            build_D_matrix(4.0, 4, 6)
+        with pytest.raises(ValueError, match=r"parameters must be nonnegative, got n=-1, k=2"):
+            build_D_matrix(-1, 2, 0)
+
+    def test_weight_zero_matrix(self):
+        # a_0^k alone, which D kills: one column and no row
+        for n in range(5):
+            for k in range(5):
+                mat = build_D_matrix(n, k, 0)
+                assert (mat.ncols, mat.nrows, mat.col_keys) == (1, 0, (k,)), (n, k)
 
 
 class TestKernel:
@@ -476,6 +488,16 @@ class TestEliminationOrder:
                     if m:
                         assert _echelon(build_D_matrix(n, k, m))[1] == free
 
+    def test_keeps_every_row_key(self):
+        # the sweep sorts the row keys of a matrix after eliminating it
+        for n in range(7):
+            for k in range(7):
+                for m in range(n * k + 1):
+                    mat = build_D_matrix(n, k, m)
+                    keys = sorted(mat.rows)
+                    _echelon(mat)
+                    assert sorted(mat.rows) == keys, (n, k, m)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_row_order_does_not_change_the_kernel(self, data):
@@ -603,10 +625,24 @@ class TestSylvesterGrid:
 
         monkeypatch.setattr(cayley, "_stratum_keys", counting)
         assert sylvester_grid_mismatches(8, 7) == []
-        # only columns with n*k >= 2 have a weight above 0
-        assert calls == [(k, n, n * k // 2)
-                         for n in range(9) for k in range(8) if n * k >= 2]
-        assert len(calls) == 55
+        # every column walks its top weight through build_D_matrix, 0 included
+        assert calls == [(k, n, n * k // 2) for n in range(9) for k in range(8)]
+        assert len(calls) == 72
+
+    def test_single_stratum_builds_one_matrix(self, monkeypatch):
+        # kernel_basis and semiinvariant_dim take the sweep's first step
+        # only, so the next weight's matrix is never built
+        calls = []
+        real = cayley._lowering_matrix
+
+        def counting(n, k, m, col_keys):
+            calls.append((n, k, m))
+            return real(n, k, m, col_keys)
+
+        monkeypatch.setattr(cayley, "_lowering_matrix", counting)
+        kernel_basis(8, 8, 32)
+        semiinvariant_dim(9, 7, 31)
+        assert calls == [(8, 8, 32), (9, 7, 31)]
 
     def test_mismatches_in_one_column_ascend(self, monkeypatch):
         real = cayley._column_nullities

@@ -152,6 +152,11 @@ class TestSIPoly:
         assert (p + p.scale(-1)).is_zero()
         assert (p - p).is_zero()
 
+    def test_neg_is_scale_by_minus_one(self):
+        p = SIPoly(4, I1_TERMS)
+        assert -p == p.scale(-1)
+        assert -(-p) == p
+
     def test_constant_multiplication_identity(self):
         p = SIPoly(4, I1_TERMS)
         assert SIPoly.constant(4, 1) * p == p

@@ -72,6 +72,15 @@ class TestQPolyBasics:
         p = gauss(6, 3)
         assert (p - p).is_zero()
 
+    def test_neg_is_zero_minus(self):
+        q = gauss(6, 3) - QPoly([0, 4])
+        assert -q == QPoly() - q
+
+    def test_hash_and_repr_of_the_canonical_form(self):
+        # trailing zeros are stripped before hashing
+        assert len({QPoly([1, 2]), QPoly((1, 2, 0))}) == 1
+        assert repr(QPoly([1, 2])) == "QPoly([1, 2])"
+
     def test_mul_degree_additivity(self):
         p, q = gauss(3, 1), gauss(3, 2)
         assert p.degree == 2 and q.degree == 2
