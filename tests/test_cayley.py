@@ -485,8 +485,7 @@ class TestEliminationOrder:
                         {nu: int(c) for nu, c in v.items()} for v in kb.vectors
                     ]
                     assert got == expected, (n, k, m)
-                    if m:
-                        assert _echelon(build_D_matrix(n, k, m))[1] == free
+                    assert _echelon(build_D_matrix(n, k, m))[1] == free
 
     def test_keeps_every_row_key(self):
         # the sweep sorts the row keys of a matrix after eliminating it
