@@ -22,8 +22,12 @@ column ``a_0^k`` and no row.  One loop eliminates, :func:`_sweep`: it
 starts from the matrix :func:`build_D_matrix` returns and goes down the
 weights, each lower weight's columns being the sorted row keys of the
 matrix above.  :func:`kernel_basis` and :func:`semiinvariant_dim` take its
-first step, and :func:`sylvester_grid_mismatches` runs it down each
-``(n, k)`` column of its grid, with one stratum walk per column.
+first step.  :func:`sylvester_grid_mismatches` runs it down the top band
+of each ``(n, k)`` column of its grid, with at most one stratum walk per
+column, and :func:`_column` derives the weights below the band from the
+``a_0`` block split: the ``(n, k-1)`` nullity plus the ``(n-1, k)``
+nullity ``k`` weights lower, where the ``(n, k-1)`` matrix has full row
+rank.
 
 The nullspace computation is exact and fraction-free: :func:`_echelon`
 takes the columns in the fixed anti-lexicographic order with a
@@ -53,6 +57,7 @@ vector is the product of one factor.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import islice
 from math import comb, factorial, gcd, lcm
 
 from .boxpartitions import _stratum_keys, delta
@@ -381,22 +386,23 @@ def _check_ints(n: int, k: int, m: int) -> None:
 
 def _sweep(
     n: int, k: int, top: int
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, dict[int, int]]], list[int]]]:
-    """``(col_keys, pivots, free_cols)`` of the lowering matrix of the
-    (k, m) stratum, by :func:`_echelon`, for ``m = top, top-1, ..., 0``.
+) -> Iterator[tuple[SparseIntMatrix, list[tuple[int, dict[int, int]]], list[int]]]:
+    """``(mat, pivots, free_cols)`` for the lowering matrix ``mat`` of the
+    (k, m) stratum, eliminated by :func:`_echelon`, for ``m = top, top-1,
+    ..., 0``; ``mat`` keeps its ``col_keys`` and its row keys.
 
     The matrix at ``top`` is the one :func:`build_D_matrix` returns, which
     checks the arguments.  Each lower weight's columns are the sorted row
     keys of the matrix above, which :func:`build_D_matrix` shows are the
     whole stratum and :func:`_echelon` keeps, so a column is one stratum
     walk.  The next matrix is built only when the next item is asked for,
-    so the first item costs one matrix.
+    so the first item costs one matrix and no item asked for costs none.
     """
     mat = build_D_matrix(n, k, top)
     for m in range(top, -1, -1):
         if m < top:
             mat = _lowering_matrix(n, k, m, sorted(mat.rows))
-        yield (mat.col_keys, *_echelon(mat))
+        yield (mat, *_echelon(mat))
 
 
 def _divided_power_scales(n: int, k: int, m: int, keys: Sequence[int]) -> list[int]:
@@ -428,7 +434,8 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     coefficient) and ordered by their defining free column.  For
     ``m <= n*k/2`` the basis size is asserted to equal ``delta(k, n, m)``.
     """
-    keys, pivots, free_cols = next(_sweep(n, k, m))
+    mat, pivots, free_cols = next(_sweep(n, k, m))
+    keys = mat.col_keys
     # a vector is zero past its free column
     scales = _divided_power_scales(n, k, m, keys[: max(free_cols, default=-1) + 1])
     vectors = []
@@ -464,10 +471,43 @@ def semiinvariant_dim(n: int, k: int, m: int) -> int:
     return len(next(_sweep(n, k, m))[2])
 
 
-def _column_nullities(n: int, k: int, top: int) -> list[int]:
-    """Nullities of the lowering operator on the (k, m) strata for
-    ``m = 0..top``, ``top <= n*k``, from one :func:`_sweep`."""
-    return [len(free_cols) for _, _, free_cols in _sweep(n, k, top)][::-1]
+def _column(
+    n: int, k: int, top: int,
+    left: Sequence[tuple[int, bool]], below: Sequence[tuple[int, bool]],
+) -> list[tuple[int, bool]]:
+    """``(nullity, full row rank)`` of the lowering matrix of the (k, m)
+    stratum for ``m = 0..top``, ``top <= n*k``, given the same pairs for
+    the ``(n, k-1)`` column up to weight ``min(top, n*(k-1)//2)`` (``left``,
+    unread at ``k = 0``) and for the ``(n-1, k)`` column up to weight
+    ``top - k`` (``below``, unread at ``n = 0``).
+
+    Split the stratum as ``a_0 V(n, k-1, m) + W``, with ``W`` the
+    ``a_0``-free monomials.  ``D(a_0 x) = a_0 D(x)``, so the matrix is
+    ``[[A, B], [0, C]]`` with ``A`` the ``(n, k-1, m)`` matrix; with slot 0
+    dropped, ``b_j = a_(j+1)``, ``C`` is the ``(n-1, k, m-k)`` matrix up to
+    diagonal scalings, ``b^beta -> prod (j+1)^beta_j b^beta`` on monomials,
+    since ``C`` moves carry ``(j+1) beta_j`` where ``D`` carries
+    ``j beta_j``.  So where
+    ``A`` has full row rank the nullity is ``A``'s plus ``C``'s, and the
+    matrix has full row rank exactly when ``C`` has; a ``C`` of weight
+    ``m - k < 0`` is empty, nullity 0 with full row rank.  The identity
+    fills the weights up to ``s``, the largest weight at most
+    ``min(top, n*(k-1)//2)`` with ``left`` of full row rank at every weight
+    up to it (``s = -1`` at ``k = 0``), and one :func:`_sweep` eliminates
+    the weights ``top .. s+1``: none, and no stratum walk, when ``s = top``.
+    """
+    s = -1
+    if k:
+        limit = min(top, n * (k - 1) // 2)
+        while s < limit and left[s + 1][1]:
+            s += 1
+    out = []
+    for m in range(s + 1):
+        nullity, full = below[m - k] if m >= k else (0, True)
+        out.append((left[m][0] + nullity, full))
+    swept = [(len(free_cols), len(pivots) == mat.nrows)
+             for mat, pivots, free_cols in islice(_sweep(n, k, top), top - s)]
+    return out + swept[::-1]
 
 
 def shear_coefficients(a: Sequence[int | Fraction], h: int | Fraction) -> list[Fraction]:
@@ -507,15 +547,23 @@ def sylvester_grid_mismatches(
     Returns ``(n, k, m, delta, nullity)`` tuples for every disagreement on
     ``0 <= n <= n_max``, ``0 <= k <= k_max``, ``0 <= m <= n*k/2``, in
     ascending ``(n, k, m)`` order; an empty list means the two computations
-    agree everywhere.  Each ``(n, k)`` column is one :func:`_sweep` down
-    from its top weight, with one stratum walk; every nullity is still an
-    exact elimination of the matrix :func:`build_D_matrix` returns,
-    independent of ``delta``.
+    agree everywhere.  The ``(n, k)`` columns come from :func:`_column` in
+    this order, so the ``(n, k-1)`` and ``(n-1, k)`` columns it splits on
+    are already known.  A column's weights up to ``n*(k-1)//2`` add the
+    nullities of those two columns, as long as the ``(n, k-1)`` matrices
+    have full row rank, and one :func:`_sweep` down from the top weight,
+    with at most one stratum walk, eliminates the rest (all of them at
+    ``k = 0``).  Every nullity is still an exact elimination of a matrix
+    :func:`_sweep` builds, or a sum of such, independent of ``delta``.
     """
     bad = []
+    below: list = [()] * (k_max + 1)  # no (n-1, k) column under n = 0
     for n in range(n_max + 1):
+        left: list = []
         for k in range(k_max + 1):
-            for m, dim in enumerate(_column_nullities(n, k, n * k // 2)):
+            # the new column is left of (n, k+1) and below (n+1, k)
+            left = below[k] = _column(n, k, n * k // 2, left, below[k])
+            for m, (dim, _) in enumerate(left):
                 d = delta(k, n, m)
                 if d != dim:
                     bad.append((n, k, m, d, dim))

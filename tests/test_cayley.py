@@ -607,13 +607,93 @@ class TestDimension:
                     assert semiinvariant_dim(n, k, m) == delta(k, n, m)
 
 
+def _plain_column(n, k, top):
+    """``(nullity, full row rank)`` for ``m = 0..top`` from one whole
+    :func:`cayley._sweep`, every weight eliminated."""
+    return [(len(free), len(pivots) == mat.nrows)
+            for mat, pivots, free in cayley._sweep(n, k, top)][::-1]
+
+
+def _grid_columns(monkeypatch, n_max, k_max):
+    """The columns :func:`sylvester_grid_mismatches` computes, by ``(n, k)``."""
+    columns = {}
+    real = cayley._column
+
+    def spy(n, k, top, left, below):
+        columns[n, k] = col = real(n, k, top, left, below)
+        return col
+
+    monkeypatch.setattr(cayley, "_column", spy)
+    assert sylvester_grid_mismatches(n_max, k_max) == []
+    return columns
+
+
+def _nu0(key, k):
+    return key & (1 << _width(k)) - 1
+
+
 class TestSylvesterGrid:
     def test_column_sweep_matches_single_strata(self):
         for n in range(6):
             for k in range(6):
-                assert cayley._column_nullities(n, k, n * k) == [
+                assert [d for d, _ in _plain_column(n, k, n * k)] == [
                     semiinvariant_dim(n, k, m) for m in range(n * k + 1)
                 ], (n, k)
+
+    def test_columns_match_the_plain_sweep(self, monkeypatch):
+        # the identity's weights and the eliminated ones alike, flags included
+        columns = _grid_columns(monkeypatch, 9, 8)
+        assert len(columns) == 90
+        for (n, k), col in columns.items():
+            assert col == _plain_column(n, k, n * k // 2), (n, k)
+
+    def test_block_split(self):
+        # D(a_0 x) = a_0 D(x): the a_0-multiple columns reach only
+        # a_0-multiple rows, and the a_0-free block is the (n-1, k, m-k)
+        # matrix up to a diagonal scaling, so it has that stratum's nullity
+        for n in range(1, 6):
+            for k in range(6):
+                for m in range(n * k + 1):
+                    mat = build_D_matrix(n, k, m)
+                    free = [j for j, key in enumerate(mat.col_keys) if _nu0(key, k) == 0]
+                    for j, key in enumerate(mat.col_keys):
+                        if _nu0(key, k):
+                            assert all(_nu0(r, k) for r in mat.cols[j]), (n, k, m, j)
+                    basis = enumerate_partitions_in_box(k, n, m)
+                    rows = [SIPoly(n, {basis[c]: v for c, v in row.items() if c in free})
+                            for r, row in mat.rows.items() if _nu0(r, k) == 0]
+                    nullity = len(free) - dense_rank([r for r in rows if not r.is_zero()])
+                    below = semiinvariant_dim(n - 1, k, m - k) if k <= m <= n * k else 0
+                    assert nullity == below, (n, k, m)
+
+    def test_left_column_short_of_full_rank_is_eliminated(self, monkeypatch):
+        # a weight where (n, k-1) is short of full row rank stops the
+        # identity: the column is eliminated from that weight upward
+        n, k, top = 6, 5, 15
+        left, below = _plain_column(n, k - 1, 12), _plain_column(n - 1, k, 10)
+        plain = _plain_column(n, k, top)
+        weights = []
+        real = cayley._lowering_matrix
+
+        def counting(n, k, m, col_keys):
+            weights.append(m)
+            return real(n, k, m, col_keys)
+
+        monkeypatch.setattr(cayley, "_lowering_matrix", counting)
+        for w in (13, 7, 0):
+            if w < 13:
+                left[w] = (left[w][0], False)
+            weights.clear()
+            assert cayley._column(n, k, top, left, below) == plain, w
+            assert weights == list(range(top, w - 1, -1)), w
+
+    def test_derived_flag_is_the_column_below(self):
+        n, k, top = 6, 5, 15
+        left, below = _plain_column(n, k - 1, 12), _plain_column(n - 1, k, 10)
+        below[3] = (below[3][0], False)
+        expected = _plain_column(n, k, top)
+        expected[8] = (expected[8][0], False)
+        assert cayley._column(n, k, top, left, below) == expected
 
     def test_one_stratum_walk_per_column(self, monkeypatch):
         calls = []
@@ -624,9 +704,25 @@ class TestSylvesterGrid:
 
         monkeypatch.setattr(cayley, "_stratum_keys", counting)
         assert sylvester_grid_mismatches(8, 7) == []
-        # every column walks its top weight through build_D_matrix, 0 included
-        assert calls == [(k, n, n * k // 2) for n in range(9) for k in range(8)]
-        assert len(calls) == 72
+        # a column walks its top weight through build_D_matrix, 0 included,
+        # unless the identity fills all of it
+        filled = {(0, k) for k in range(1, 8)} | {(1, 1), (1, 3), (1, 5), (1, 7)}
+        assert calls == [(k, n, n * k // 2) for n in range(9) for k in range(8)
+                         if (n, k) not in filled]
+        assert len(calls) == 61
+
+    def test_eliminations_on_the_benchmark_grid(self, monkeypatch):
+        # the weights above n*(k-1)//2 of each column, and k = 0's one
+        calls = []
+        real = cayley._echelon
+
+        def counting(mat):
+            calls.append(mat.ncols)
+            return real(mat)
+
+        monkeypatch.setattr(cayley, "_echelon", counting)
+        assert sylvester_grid_mismatches(8, 7) == []
+        assert len(calls) == 133
 
     def test_single_stratum_builds_one_matrix(self, monkeypatch):
         # kernel_basis and semiinvariant_dim take the sweep's first step
@@ -643,13 +739,28 @@ class TestSylvesterGrid:
         semiinvariant_dim(9, 7, 31)
         assert calls == [(8, 8, 32), (9, 7, 31)]
 
+    @staticmethod
+    def _off_by_one(monkeypatch, *cells):
+        real = cayley._column
+
+        def off_by_one(n, k, top, left, below):
+            return [(d + ((n, k, m) in cells), full)
+                    for m, (d, full) in enumerate(real(n, k, top, left, below))]
+
+        monkeypatch.setattr(cayley, "_column", off_by_one)
+
     def test_mismatches_in_one_column_ascend(self, monkeypatch):
-        real = cayley._column_nullities
-        monkeypatch.setattr(
-            cayley, "_column_nullities",
-            lambda n, k, top: [d + ((n, k, m) in ((4, 4, 2), (4, 4, 6)))
-                               for m, d in enumerate(real(n, k, top))])
-        assert sylvester_grid_mismatches(5, 5) == [(4, 4, 2, 1, 2), (4, 4, 6, 2, 3)]
+        # (4, 4) is the grid's last column, so no other cell reads it
+        self._off_by_one(monkeypatch, (4, 4, 2), (4, 4, 6))
+        assert sylvester_grid_mismatches(4, 4) == [(4, 4, 2, 1, 2), (4, 4, 6, 2, 3)]
+
+    def test_wrong_nullity_reaches_the_cells_derived_from_it(self, monkeypatch):
+        # (4, 5) reads (4, 4) as its left column, (5, 4) reads it as the
+        # column below, and (5, 5) reads both of those
+        self._off_by_one(monkeypatch, (4, 4, 2), (4, 4, 6))
+        assert sylvester_grid_mismatches(5, 5) == [
+            (4, 4, 2, 1, 2), (4, 4, 6, 2, 3), (4, 5, 2, 1, 2), (4, 5, 6, 2, 3),
+            (5, 4, 6, 2, 3), (5, 5, 6, 2, 3), (5, 5, 7, 2, 3)]
 
 
 class TestShear:

@@ -746,10 +746,11 @@ class TestExitCodeContract:
         from semiinv import cayley
 
         # a nullity off by one at the worked cell
-        real = cayley._column_nullities
-        monkeypatch.setattr(cayley, "_column_nullities",
-                            lambda n, k, top: [d + ((n, k, m) == (4, 4, 6))
-                                               for m, d in enumerate(real(n, k, top))])
+        real = cayley._column
+        monkeypatch.setattr(cayley, "_column",
+                            lambda n, k, top, *split: [
+                                (d + ((n, k, m) == (4, 4, 6)), full)
+                                for m, (d, full) in enumerate(real(n, k, top, *split))])
         code, out, _ = run_cli(capsys, "verify", "sylvester", "--nmax", "4",
                                "--kmax", "4")
         assert code == 3

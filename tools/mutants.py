@@ -21,7 +21,7 @@ exactly once), in which case nothing is run.
 
 A change that backs a test with a mutant adds the mutant to ``MUTANTS``.
 The tool is not part of the tier-1 suite: it runs one pytest session per
-mutant (about 95 s for the 28 mutants below on a 2-vCPU machine).
+mutant (about 110 s for the 31 mutants below on a 2-vCPU machine).
 """
 
 from __future__ import annotations
@@ -196,6 +196,22 @@ MUTANTS = [
            "sorted(mat.rows)[1:]",
            (_CAYLEY + "TestSylvesterGrid::test_column_sweep_matches_single_strata",
             _CLI + "TestVerifyCommand::test_sylvester_benchmark_grid_golden")),
+    # the identity fills weights where (n, k-1) is short of full row rank
+    Mutant("src/semiinv/cayley.py",
+           "while s < limit and left[s + 1][1]:",
+           "while s < limit:",
+           (_CAYLEY + "TestSylvesterGrid::test_left_column_short_of_full_rank_is_eliminated",)),
+    # the a_0-free block read one weight too low in the column below
+    Mutant("src/semiinv/cayley.py",
+           "below[m - k]",
+           "below[m - k - 1]",
+           (_CAYLEY + "TestSylvesterGrid::test_columns_match_the_plain_sweep",
+            _CLI + "TestVerifyCommand::test_sylvester_benchmark_grid_golden")),
+    # the derived full-rank flag taken from (n, k-1), not (n-1, k)
+    Mutant("src/semiinv/cayley.py",
+           "out.append((left[m][0] + nullity, full))",
+           "out.append((left[m][0] + nullity, left[m][1]))",
+           (_CAYLEY + "TestSylvesterGrid::test_derived_flag_is_the_column_below",)),
     # build_D_matrix refuses weight 0
     Mutant("src/semiinv/cayley.py",
            "if not 0 <= m <= n * k:",
