@@ -614,20 +614,6 @@ def _plain_column(n, k, top):
             for mat, pivots, free in cayley._sweep(n, k, top)][::-1]
 
 
-def _grid_columns(monkeypatch, n_max, k_max):
-    """The columns :func:`sylvester_grid_mismatches` computes, by ``(n, k)``."""
-    columns = {}
-    real = cayley._column
-
-    def spy(n, k, top, left, below):
-        columns[n, k] = col = real(n, k, top, left, below)
-        return col
-
-    monkeypatch.setattr(cayley, "_column", spy)
-    assert sylvester_grid_mismatches(n_max, k_max) == []
-    return columns
-
-
 def _nu0(key, k):
     return key & (1 << _width(k)) - 1
 
@@ -642,7 +628,15 @@ class TestSylvesterGrid:
 
     def test_columns_match_the_plain_sweep(self, monkeypatch):
         # the identity's weights and the eliminated ones alike, flags included
-        columns = _grid_columns(monkeypatch, 9, 8)
+        columns = {}
+        real = cayley._column
+
+        def spy(n, k, top, left, below):
+            columns[n, k] = col = real(n, k, top, left, below)
+            return col
+
+        monkeypatch.setattr(cayley, "_column", spy)
+        assert sylvester_grid_mismatches(9, 8) == []
         assert len(columns) == 90
         for (n, k), col in columns.items():
             assert col == _plain_column(n, k, n * k // 2), (n, k)
