@@ -235,9 +235,9 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
     but keeps every row key; each pivot row is zero before its pivot column
     and positive at it.
     Among the rows still nonzero at a column, the pivot is the one with the
-    smallest ``(|entry|, row length, row key)``; a lone candidate is the
-    pivot at once, its sign made positive, and no row is updated.  Entries
-    stay integral: each other candidate ``row`` with entry ``b`` becomes
+    smallest ``(|entry|, row length, row key)``, its sign made positive; a
+    lone candidate updates no row.  Entries stay integral: each other
+    candidate ``row`` with entry ``b`` becomes
     ``(a/g) row - (b/g) pivot_row`` for the pivot entry ``a`` and
     ``g = gcd(a, b)``, which at ``a == 1`` is ``row - b pivot_row`` with no
     gcd taken; a row is divided by its content only after it was multiplied
@@ -252,20 +252,16 @@ def _echelon(mat: SparseIntMatrix) -> tuple[list[tuple[int, dict[int, int]]], li
         if not cand:
             free_cols.append(c)
             continue
-        if len(cand) == 1:
-            # a lone candidate is the pivot, and no other row holds column c
-            piv = next(iter(cand))
-        else:
-            piv = None
-            for r in cand:
-                row = rows[r]
-                e = row[c]
-                if e < 0:
-                    e = -e
-                if piv is None or e < best or (
-                    e == best and (len(row) < size or (len(row) == size and r < piv))
-                ):
-                    piv, best, size = r, e, len(row)
+        piv = None
+        for r in cand:
+            row = rows[r]
+            e = row[c]
+            if e < 0:
+                e = -e
+            if piv is None or e < best or (
+                e == best and (len(row) < size or (len(row) == size and r < piv))
+            ):
+                piv, best, size = r, e, len(row)
         prow = rows[piv]
         for cc in prow:
             incidence[cc].discard(piv)
@@ -436,8 +432,7 @@ def kernel_basis(n: int, k: int, m: int) -> KernelBasis:
     """
     mat, pivots, free_cols = next(_sweep(n, k, m))
     keys = mat.col_keys
-    # a vector is zero past its free column
-    scales = _divided_power_scales(n, k, m, keys[: max(free_cols, default=-1) + 1])
+    scales = _divided_power_scales(n, k, m, keys)
     vectors = []
     for f in free_cols:
         # back to monomials: y_c b^(c) = y_c / s_c a^c, each fraction in

@@ -401,14 +401,16 @@ class TestPackedRows:
                 return mul(a, b)
 
             monkeypatch.setattr(SIPoly, "__mul__", counted)
-            for build, pairs, calls in [
-                (lambda: nr8_witnesses(8, 16, tmp_path), [(j1, j1), (j1, j2)], 1),
+            for build, pairs, calls, square in [
+                (lambda: nr8_witnesses(8, 16, tmp_path), [(j1, j1), (j1, j2)], 1, True),
                 (lambda: strict_witnesses(8, 14, 8, 56, tmp_path),
-                 [(j1, v) for v in inner] + [(j2, inner[-1])], 2),
+                 [(j1, v) for v in inner] + [(j2, inner[-1])], 2, False),
             ]:
                 made.clear()
                 ws = build()
                 assert len(made) == calls
+                # nr8's row squares one packed factor, which no full product does
+                assert (made[0][0] is made[0][1]) is square
                 expected = [mul(a, b).primitive() for a, b in pairs]
                 assert list(ws) == expected
                 assert [w._json_bytes() for w in ws] == [e._json_bytes() for e in expected]
