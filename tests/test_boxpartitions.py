@@ -63,7 +63,7 @@ class TestCount:
 
     def test_thin_box_fills_its_long_side_as_rows(self):
         # cut to 1 x 6000, one row of the fill would store 1.8e7 coefficients
-        # before the budget is checked; turned, each row stores at most 6001
+        # before the budget is checked; turned, each row stores at most 6002
         proc = run_capped("-c", "from semiinv.boxpartitions import count_partitions_in_box as p; "
                           "print(p(1, 10**20, 6000), p(10**20, 1, 6000))", memory=1 << 27)
         assert (proc.returncode, proc.stdout) == (0, "1 1\n"), proc.stderr
